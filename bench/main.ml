@@ -712,90 +712,9 @@ let pp_bnb_bench b =
     b.bnb_nodes b.bnb_reps b.bnb_seq_wall_s b.bnb_par_wall_s
     b.bnb_parallel_speedup b.bnb_jobs b.bnb_results_equal
 
-(* ------------------------------------------------------------------ *)
-(* Simulation family benchmark                                          *)
-(* ------------------------------------------------------------------ *)
-
-(* The figure-4 measurement cells (both isolations + the co-run) run
-   solo vs as one [Tcsim.Machine.run_family], bypassing the run cache —
-   what sharing one decoded per-core script across the members of a
-   cell buys. The members' results are bit-identical either way (the
-   differential property pins it), so the ratio is pure frontend
-   savings and cancels machine speed out. *)
-type family_bench = {
-  fam_reps : int;
-  fam_cells : int;
-  fam_solo_wall_s : float;
-  fam_family_wall_s : float;
-  sim_family_speedup : float;
-  fam_results_equal : bool;
-}
-
-let family_bench () =
-  let reps = 3 in
-  let cells =
-    List.map
-      (fun (app, con) ->
-         let analysis = { Tcsim.Machine.program = app; core = 0 } in
-         let contender = { Tcsim.Machine.program = con; core = 1 } in
-         [
-           Tcsim.Machine.spec ~analysis ();
-           Tcsim.Machine.spec ~analysis:contender ();
-           Tcsim.Machine.spec ~restart_contenders:false ~analysis
-             ~contenders:[ contender ] ();
-         ])
-      (sim_workloads ())
-  in
-  let best pass =
-    let best_t = ref infinity and res = ref None in
-    for _ = 1 to reps do
-      let t0 = Unix.gettimeofday () in
-      let r = List.map pass cells in
-      best_t := Float.min !best_t (Unix.gettimeofday () -. t0);
-      res := Some r
-    done;
-    (Option.get !res, !best_t)
-  in
-  let solo_of s =
-    Tcsim.Machine.run
-      ~restart_contenders:s.Tcsim.Machine.sp_restart_contenders
-      ?priorities:s.Tcsim.Machine.sp_priorities
-      ~trace:s.Tcsim.Machine.sp_trace ~analysis:s.Tcsim.Machine.sp_analysis
-      ~contenders:s.Tcsim.Machine.sp_contenders ()
-  in
-  let solo, fam_solo_wall_s = best (List.map solo_of) in
-  let fam, fam_family_wall_s = best Tcsim.Machine.run_family in
-  {
-    fam_reps = reps;
-    fam_cells = List.length cells;
-    fam_solo_wall_s;
-    fam_family_wall_s;
-    sim_family_speedup = fam_solo_wall_s /. Float.max fam_family_wall_s 1e-9;
-    fam_results_equal = solo = fam;
-  }
-
-let json_of_family_bench b =
-  Obs.Json.Obj
-    [
-      ("name", Obs.Json.Str "sim-family");
-      ("reps", Obs.Json.Int b.fam_reps);
-      ("cells", Obs.Json.Int b.fam_cells);
-      ("solo_wall_s", Obs.Json.Float b.fam_solo_wall_s);
-      ("family_wall_s", Obs.Json.Float b.fam_family_wall_s);
-      ("sim_family_speedup", Obs.Json.Float b.sim_family_speedup);
-      ("results_equal", Obs.Json.Bool b.fam_results_equal);
-    ]
-
-let pp_family_bench b =
-  Format.printf
-    "%d cells x3 members, best of %d: solo %.3fs, family %.3fs (%.2fx); \
-     results identical: %b@."
-    b.fam_cells b.fam_reps b.fam_solo_wall_s b.fam_family_wall_s
-    b.sim_family_speedup b.fam_results_equal
-
 let results_file = "BENCH_results.json"
 
-(* The serve, audit, bnb and family benchmarks also run as their own
+(* The serve, audit and bnb benchmarks also run as their own
    modes; merge such an entry into the results file by its name,
    without clobbering the regenerated stages. *)
 let merge_result entry =
@@ -974,31 +893,7 @@ let run_perf_check () =
     exit 1
   end
   else Format.printf "OK: within the 2x budget@.";
-  merge_result (json_of_bnb_bench pb);
-  (* Simulation family smoke: a same-process ratio (solo vs family on
-     identical members), so machine speed cancels out like the kernel
-     speedup; it fails below half baseline. *)
-  section "Simulation family smoke (shared scripts vs solo runs)";
-  let fb = family_bench () in
-  pp_family_bench fb;
-  if not fb.fam_results_equal then begin
-    Format.printf "FAIL: family members disagree with solo runs@.";
-    exit 1
-  end;
-  let baseline_family_speedup =
-    match Obs.Json.member "sim_family_speedup" baseline with
-    | Some (Obs.Json.Float f) -> f
-    | Some (Obs.Json.Int i) -> float_of_int i
-    | _ -> failwith "perf_baseline.json: missing sim_family_speedup"
-  in
-  Format.printf "sim family speedup: baseline %.2fx, current %.2fx@."
-    baseline_family_speedup fb.sim_family_speedup;
-  if fb.sim_family_speedup < baseline_family_speedup /. 2. then begin
-    Format.printf "FAIL: family batching speedup collapsed more than 2x@.";
-    exit 1
-  end
-  else Format.printf "OK: within the 2x budget@.";
-  merge_result (json_of_family_bench fb)
+  merge_result (json_of_bnb_bench pb)
 
 (* ------------------------------------------------------------------ *)
 (* Serve replay: sustained queries/sec through a live daemon            *)
@@ -1351,18 +1246,13 @@ let () =
      let r = bnb_bench () in
      pp_bnb_bench r;
      merge_result (json_of_bnb_bench r)
-   | "family" ->
-     section "Simulation families (shared scripts vs solo runs)";
-     let r = family_bench () in
-     pp_family_bench r;
-     merge_result (json_of_family_bench r)
    | "all" ->
      regenerate ();
      run_timings ()
    | other ->
      Format.eprintf
        "unknown mode %S (expected: tables | timings | solver | sim | audit | \
-        obs | dag | bnb | family | perf-check | serve | all)@."
+        obs | dag | bnb | perf-check | serve | all)@."
        other;
      exit 2);
   Format.printf "@.done.@."

@@ -54,10 +54,9 @@ let readings_nodes ?config dag ~tag ~scenario ~load =
           ();
         (app, contender))
   in
-  (* both isolation sims as one run family: no script sharing between
-     the two distinct programs, but members already measured by an
-     earlier cell (the app repeats across load levels) replay from the
-     run cache inside the family *)
+  (* both isolation sims as one run family: members already measured by
+     an earlier cell (the app repeats across load levels) replay from the
+     run cache *)
   let sims =
     node ~label:(lbl "sims") dag ~deps:[ dep prep ] (fun () ->
         let app, contender = get prep in

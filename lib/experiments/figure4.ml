@@ -125,9 +125,8 @@ let add_row_nodes ?config dag ~scenario ~load =
         (app, contender))
   in
   (* the cell's three simulations — two isolations + the observed co-run
-     — dispatch as one run family: decoded program scripts are shared
-     between the members, and each stays individually content-addressed
-     in the run cache *)
+     — dispatch as one run family, each member individually content-
+     addressed in the run cache *)
   let sims =
     node ~label:(lbl "sims") dag ~deps:[ dep prep ] (fun () ->
         let app, contender = get prep in

@@ -17,8 +17,7 @@ let run ?(scenario = Scenario.scenario1) ?jobs () =
   let app = Workload.Control_loop.app variant in
   let c1 = Workload.Load_gen.make ~variant ~level:Workload.Load_gen.Medium ~region_slot:1 () in
   let c2 = Workload.Load_gen.make ~variant ~level:Workload.Load_gen.Low ~region_slot:2 () in
-  (* both arbitration co-runs differ only in the priority map: as a run
-     family they share every decoded program script *)
+  (* both arbitration co-runs differ only in the priority map *)
   let coruns () =
     let spec priorities =
       Tcsim.Machine.spec ~restart_contenders:false ~priorities ~trace:true

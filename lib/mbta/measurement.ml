@@ -50,10 +50,9 @@ let high_water_mark = function
 (* --- batched families --------------------------------------------------
    One experiment cell's measurements — isolations plus co-runs — share
    programs, so they dispatch as a {!Runtime.Run_cache.run_family}:
-   members that simulate share decoded per-core scripts, members already
-   cached replay for free, and every member remains individually
-   content-addressed (a later solo request for the same measurement is a
-   hit). *)
+   members already cached replay for free, and every member is
+   individually content-addressed (a later solo request for the same
+   measurement is a hit). *)
 
 let isolation_family ?config tasks =
   Obs.Tracer.with_span "measure.isolation_family"

@@ -40,11 +40,10 @@ val corun :
 
 (** {1 Batched measurement families}
 
-    The measurements of one experiment cell share programs; dispatching
-    them as a {!Runtime.Run_cache.run_family} lets the members that do
-    simulate share decoded per-core scripts while every member stays
-    individually content-addressed in the run cache. Observations are
-    identical to what the solo entry points above produce. *)
+    The measurements of one experiment cell, dispatched as a
+    {!Runtime.Run_cache.run_family}: every member is individually
+    content-addressed in the run cache. Observations are identical to
+    what the solo entry points above produce. *)
 
 val isolation_family :
   ?config:Tcsim.Machine.config ->

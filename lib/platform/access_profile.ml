@@ -3,18 +3,20 @@
 let pairs = Array.of_list Op.valid_pairs
 let npairs = Array.length pairs
 
+(* [slots.(Op.pair_index t o)] is the pair's position in [pairs], or -1
+   for the inadmissible (dfl, code) slot. *)
+let slots =
+  let a = Array.make Op.pair_count (-1) in
+  Array.iteri (fun i (t, o) -> a.(Op.pair_index t o) <- i) pairs;
+  a
+
 let index target op =
-  let rec go i =
-    if i >= npairs then
-      invalid_arg
-        (Printf.sprintf "Access_profile: inadmissible pair (%s, %s)"
-           (Target.to_string target) (Op.to_string op))
-    else begin
-      let t, o = pairs.(i) in
-      if Target.equal t target && Op.equal o op then i else go (i + 1)
-    end
-  in
-  go 0
+  let i = slots.(Op.pair_index target op) in
+  if i < 0 then
+    invalid_arg
+      (Printf.sprintf "Access_profile: inadmissible pair (%s, %s)"
+         (Target.to_string target) (Op.to_string op));
+  i
 
 type t = int array (* length npairs *)
 

@@ -1,43 +1,35 @@
 type entry = { lmax : int; lmin : int; min_stall : int }
 
-module Pair = struct
-  type t = Target.t * Op.t
-
-  let compare (t1, o1) (t2, o2) =
-    match Target.compare t1 t2 with 0 -> Op.compare o1 o2 | c -> c
-end
-
-module Pmap = Map.Make (Pair)
-
-type t = { entries : entry Pmap.t; lmu_dirty_lmax : int }
+(* Dense over [Op.pair_index]; the inadmissible (dfl, code) slot stays
+   [None]. *)
+type t = { entries : entry option array; lmu_dirty_lmax : int }
 
 let make entries ~lmu_dirty_lmax =
-  let table =
-    List.fold_left
-      (fun acc (target, op, e) ->
-         if not (Op.valid target op) then
-           invalid_arg
-             (Printf.sprintf "Latency.make: invalid pair (%s, %s)"
-                (Target.to_string target) (Op.to_string op));
-         (* The timing model requires 1 <= cs <= lmin <= lmax: the stall
-            floor is achieved under streaming (lmin) and every observable
-            wait is at least lmin. *)
-         if not (1 <= e.min_stall && e.min_stall <= e.lmin && e.lmin <= e.lmax)
-         then
-           invalid_arg
-             (Printf.sprintf
-                "Latency.make: (%s, %s) must satisfy 1 <= cs <= lmin <= lmax"
-                (Target.to_string target) (Op.to_string op));
-         if Pmap.mem (target, op) acc then
-           invalid_arg
-             (Printf.sprintf "Latency.make: duplicate pair (%s, %s)"
-                (Target.to_string target) (Op.to_string op));
-         Pmap.add (target, op) e acc)
-      Pmap.empty entries
-  in
+  let table = Array.make Op.pair_count None in
+  List.iter
+    (fun (target, op, e) ->
+       if not (Op.valid target op) then
+         invalid_arg
+           (Printf.sprintf "Latency.make: invalid pair (%s, %s)"
+              (Target.to_string target) (Op.to_string op));
+       (* The timing model requires 1 <= cs <= lmin <= lmax: the stall
+          floor is achieved under streaming (lmin) and every observable
+          wait is at least lmin. *)
+       if not (1 <= e.min_stall && e.min_stall <= e.lmin && e.lmin <= e.lmax)
+       then
+         invalid_arg
+           (Printf.sprintf
+              "Latency.make: (%s, %s) must satisfy 1 <= cs <= lmin <= lmax"
+              (Target.to_string target) (Op.to_string op));
+       if Option.is_some table.(Op.pair_index target op) then
+         invalid_arg
+           (Printf.sprintf "Latency.make: duplicate pair (%s, %s)"
+              (Target.to_string target) (Op.to_string op));
+       table.(Op.pair_index target op) <- Some e)
+    entries;
   List.iter
     (fun (target, op) ->
-       if not (Pmap.mem (target, op) table) then
+       if Option.is_none table.(Op.pair_index target op) then
          invalid_arg
            (Printf.sprintf "Latency.make: missing pair (%s, %s)"
               (Target.to_string target) (Op.to_string op)))
@@ -61,7 +53,7 @@ let default =
     ~lmu_dirty_lmax:21
 
 let entry t target op =
-  match Pmap.find_opt (target, op) t.entries with
+  match t.entries.(Op.pair_index target op) with
   | Some e -> e
   | None ->
     invalid_arg

@@ -13,6 +13,9 @@ let of_string = function
 
 let pp fmt o = Format.pp_print_string fmt (to_string o)
 
+let pair_count = 8
+let pair_index target o = (Target.rank target * 2) + rank o
+
 let valid target o =
   match (target, o) with
   | Target.Dfl, Code -> false

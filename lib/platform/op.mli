@@ -10,6 +10,7 @@ type t = Code | Data
 val all : t list
 val equal : t -> t -> bool
 val compare : t -> t -> int
+
 val to_string : t -> string
 val of_string : string -> t option
 val pp : Format.formatter -> t -> unit
@@ -20,3 +21,10 @@ val valid : Target.t -> t -> bool
 
 val valid_pairs : (Target.t * t) list
 (** All admissible (target, op) pairs, in a fixed order. *)
+
+val pair_count : int
+
+val pair_index : Target.t -> t -> int
+(** The position of a (target, op) pair in dense per-pair tables of
+    {!pair_count} entries. Inadmissible pairs have a position too, which
+    such tables leave unused. *)

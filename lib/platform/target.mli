@@ -21,6 +21,11 @@ val data_targets : t list
 val is_flash : t -> bool
 val equal : t -> t -> bool
 val compare : t -> t -> int
+
+val rank : t -> int
+(** Position in {!all}: dfl 0, pf0 1, pf1 2, lmu 3 — the index of dense
+    per-target tables. *)
+
 val to_string : t -> string
 val of_string : string -> t option
 val pp : Format.formatter -> t -> unit

@@ -444,53 +444,23 @@ let run ?(config = Machine.default_config)
         Machine.run ~config ~max_cycles ~restart_contenders ?priorities ~trace
           ~kernel ~analysis ~contenders ())
 
-(* A cached run family: members are processed one at a time — acquire,
-   simulate-or-replay, settle, then move on — so each member is still
-   content-addressed and single-flighted individually (a family never
-   holds two reservations at once, which could deadlock against another
-   family reserving in the opposite order; and a duplicate spec later in
-   the same family simply hits the entry its twin just settled). The
-   members that do simulate share one script table, and members found in
-   the cache are replays the family did not have to simulate — both
-   kinds of saved work count into [sim.family_reuse]. *)
-let m_family_reuse = Obs.Metrics.counter ~timing:true "sim.family_reuse"
+(* A cached run family is a [List.map] of [run]: members are processed
+   one at a time — acquire, simulate or replay, settle — so a family never
+   holds two reservations at once (which could deadlock against another
+   family reserving in the opposite order), and a duplicate spec later in
+   the same family hits the entry its twin just settled. *)
+let run_spec ?config ?max_cycles ?kernel (s : Machine.spec) =
+  run ?config ?max_cycles ~restart_contenders:s.Machine.sp_restart_contenders
+    ?priorities:s.Machine.sp_priorities ~trace:s.Machine.sp_trace ?kernel
+    ~analysis:s.Machine.sp_analysis ~contenders:s.Machine.sp_contenders ()
 
-let family_member ~config ~max_cycles ~kernel ~scripts (s : Machine.spec) =
-  let k =
-    fingerprint ~config ~max_cycles
-      ~restart_contenders:s.Machine.sp_restart_contenders
-      ~priorities:s.Machine.sp_priorities ~trace:s.Machine.sp_trace ~kernel
-      ~analysis:s.Machine.sp_analysis ~contenders:s.Machine.sp_contenders
-  in
-  match acquire k with
-  | `Hit (o, waited) ->
-    Obs.Metrics.incr m_family_reuse;
-    hit k o ~waited
-  | `Reserved ->
-    miss k ~sim:(fun () ->
-        Machine.run ~config ~max_cycles
-          ~restart_contenders:s.Machine.sp_restart_contenders
-          ?priorities:s.Machine.sp_priorities ~trace:s.Machine.sp_trace
-          ~kernel ~scripts ~analysis:s.Machine.sp_analysis
-          ~contenders:s.Machine.sp_contenders ())
+let run_family ?config ?max_cycles ?kernel specs =
+  List.map (run_spec ?config ?max_cycles ?kernel) specs
 
-let family_args ~kernel =
-  let kernel =
-    match kernel with Some k -> k | None -> Machine.default_kernel ()
-  in
-  (kernel, Machine.script_table ())
-
-let run_family ?(config = Machine.default_config)
-    ?(max_cycles = Machine.default_max_cycles) ?kernel specs =
-  let kernel, scripts = family_args ~kernel in
-  List.map (family_member ~config ~max_cycles ~kernel ~scripts) specs
-
-let run_family_outcomes ?(config = Machine.default_config)
-    ?(max_cycles = Machine.default_max_cycles) ?kernel specs =
-  let kernel, scripts = family_args ~kernel in
+let run_family_outcomes ?config ?max_cycles ?kernel specs =
   List.map
     (fun s ->
-       match family_member ~config ~max_cycles ~kernel ~scripts s with
+       match run_spec ?config ?max_cycles ?kernel s with
        | r -> Ok r
        | exception e -> Error e)
     specs

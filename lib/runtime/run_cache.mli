@@ -52,15 +52,12 @@ val run_family :
   ?kernel:Tcsim.Machine.kernel ->
   Tcsim.Machine.spec list ->
   Tcsim.Machine.run_result list
-(** Cached {!Tcsim.Machine.run_family}: members are processed one at a
-    time — acquire, simulate or replay, settle — so each member is still
-    content-addressed and single-flighted individually under exactly the
-    key a solo {!run} with the same arguments would use (a family and a
-    solo request for the same member share one entry, in either order).
-    Members that simulate share one script table; members found in the
-    cache are replayed without simulating. Both reuse kinds count into
-    the timing-tier [sim.family_reuse] counter. Exceptions propagate as
-    in {!Tcsim.Machine.run_family}. *)
+(** Cached {!Tcsim.Machine.run_family}: {!run} on each member in order,
+    so every member is content-addressed and single-flighted under
+    exactly the key a solo {!run} with the same arguments would use (a
+    family and a solo request for the same member share one entry, in
+    either order). Exceptions propagate as in
+    {!Tcsim.Machine.run_family}. *)
 
 val run_family_outcomes :
   ?config:Tcsim.Machine.config ->

@@ -276,9 +276,8 @@ let compute t (q : P.analyze) : P.analyze_result =
            ~tasks ()));
   (* All the request's simulations — every task alone on its core, plus
      (when observed) the co-run — dispatch as one run family on a pool
-     worker: the app's decoded script is shared between its isolation
-     and the co-run, and each member stays individually content-
-     addressed in the run cache. Member failures are captured, not
+     worker; each member is individually content-addressed in the run
+     cache. Member failures are captured, not
      raised, so reject precedence is unchanged: isolation cycle limits
      first, then counter lint, then bounds; the co-run's outcome is
      deferred to its own stage below. *)

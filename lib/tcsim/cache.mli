@@ -22,16 +22,19 @@ val create : geometry -> t
 (** @raise Invalid_argument unless sizes are positive powers of two and
     [size_bytes] is divisible by [ways * line_bytes]. *)
 
-type outcome =
-  | Hit
-  | Miss of { victim : int option }
-      (** Allocated after a miss; [victim] is the line-aligned address of
-          the evicted {e dirty} line, if the victim needed a write-back. *)
+val hit : int
+(** [-1]: the {!access} outcome for a hit. *)
 
-val access : t -> addr:int -> write:bool -> outcome
+val miss : int
+(** [-2]: the {!access} outcome for a miss whose victim needs no
+    write-back. *)
+
+val access : t -> addr:int -> write:bool -> int
 (** Looks up the line containing [addr]; on a miss the line is allocated
     (write-allocate) and the LRU way evicted. A write marks the line
-    dirty. *)
+    dirty. Returns {!hit}, {!miss}, or — when the evicted line was
+    {e dirty} — that line's (non-negative) line-aligned address, which
+    needs a write-back. Allocates nothing. *)
 
 val probe : t -> addr:int -> bool
 (** Non-destructive lookup: would [addr] hit? *)

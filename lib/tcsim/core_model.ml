@@ -13,308 +13,88 @@ let p16_config =
 
 let e16_config = { kind = E16; icache = Some Cache.tc16e_icache; dcache = None }
 
-(* --- Decoded instruction scripts ---------------------------------------
-   Everything a core does besides waiting is timing-independent: which
-   instruction comes next, how its fetch and data access classify, and
-   whether each cache access hits — all of it is a function of the
-   (program, core config) pair alone, because the per-core caches see a
-   fixed access sequence whatever the SRI timing is. A [Script.entry]
-   records that classification per instruction; the timing-dependent
-   part (ticket issue cycles, stall accounting, phase waits) is applied
-   by the core when it consumes the entry. Scripts are the unit of reuse
-   for run families: one (program, config) stream, generated once,
-   replayed by every family member that runs that program. *)
-module Script = struct
-  type fetch =
-    | Fdirect  (* pc in scratchpad: no fetch transaction *)
-    | Fhit
-    | Fmiss of { target : Target.t; pc : int }  (* counts PCACHE_MISS *)
-    | Funcached of { target : Target.t; pc : int }
 
-  type exec =
-    | Ecompute of int
-    | Elocal  (* scratchpad data access *)
-    | Ehit
-    | Emiss_clean of { target : Target.t; addr : int }
-    | Emiss_folded of { addr : int }  (* dirty LMU victim folded into the fill *)
-    | Emiss_wb of { vtarget : Target.t; vaddr : int; target : Target.t; addr : int }
-    | Euncached of { target : Target.t; addr : int }
+(* --- Decoded program -----------------------------------------------------
+   Where an instruction's fetch and data access go depends only on their
+   addresses and the core's cache configuration, so each instruction of
+   the program text is classified once per run; whether a cached access
+   hits is decided when it executes, in program order. An access the
+   memory map rejects decodes to a [fault] raised when the instruction
+   begins, exactly when classifying it on the fly would have raised. *)
 
-  type entry = Instr of { fetch : fetch; exec : exec } | End_of_pass
+type fetch =
+  | F_local (* pc in scratchpad: no fetch transaction *)
+  | F_cached (* through the I-cache; a miss counts PCACHE_MISS *)
+  | F_uncached
 
-  (* The generator owns private caches and a walker; calling it advances
-     them by one instruction. [End_of_pass] rewinds the walker (caches
-     stay warm — restart semantics), so the stream is infinite for
-     looping co-runners and each pass reflects the cache state its
-     predecessors left behind. *)
-  let generator config program =
-    let dcache = match config.kind with P16 -> config.dcache | E16 -> None in
-    let icache = Option.map Cache.create config.icache in
-    let dcache = Option.map Cache.create dcache in
-    let walker = Program.Walker.create program in
-    let fetch_of (instr : Program.instr) =
-      match Memory_map.classify instr.Program.pc with
-      | Memory_map.Pspr | Memory_map.Dspr -> Fdirect
-      | Memory_map.Sri (target, cacheable) ->
-        (match (cacheable, icache) with
-         | true, Some ic ->
-           (match Cache.access ic ~addr:instr.Program.pc ~write:false with
-            | Cache.Hit -> Fhit
-            (* I-cache lines are never dirty: victims drop silently. *)
-            | Cache.Miss _ -> Fmiss { target; pc = instr.Program.pc })
-         | (false, _ | true, None) -> Funcached { target; pc = instr.Program.pc })
-    in
-    let exec_of (instr : Program.instr) =
-      match instr.Program.kind with
-      | Program.Compute n -> Ecompute n
-      | Program.Load addr | Program.Store addr ->
-        let write =
-          match instr.Program.kind with Program.Store _ -> true | _ -> false
-        in
-        (match Memory_map.classify addr with
-         | Memory_map.Dspr | Memory_map.Pspr -> Elocal
-         | Memory_map.Sri (target, cacheable) ->
-           if
-             write
-             && (Target.equal target Target.Pf0 || Target.equal target Target.Pf1)
-           then
-             invalid_arg
-               (Printf.sprintf "Core_model: store to program flash at 0x%x" addr);
-           (match (cacheable, dcache) with
-            | true, Some dc ->
-              (match Cache.access dc ~addr ~write with
-               | Cache.Hit -> Ehit
-               | Cache.Miss { victim = None } -> Emiss_clean { target; addr }
-               | Cache.Miss { victim = Some vaddr } ->
-                 let vtarget =
-                   match Memory_map.classify vaddr with
-                   | Memory_map.Sri (vt, _) -> vt
-                   | Memory_map.Dspr | Memory_map.Pspr ->
-                     (* dirty lines only ever hold SRI-cacheable data *)
-                     assert false
-                 in
-                 if
-                   Target.equal vtarget Target.Lmu && Target.equal target Target.Lmu
-                 then Emiss_folded { addr }
-                 else Emiss_wb { vtarget; vaddr; target; addr })
-            | (false, _ | true, None) -> Euncached { target; addr }))
-    in
-    fun () ->
-      match Program.Walker.next walker with
-      | None ->
-        Program.Walker.reset walker;
-        End_of_pass
-      | Some instr -> Instr { fetch = fetch_of instr; exec = exec_of instr }
+type exec =
+  | X_compute
+  | X_local (* scratchpad data access *)
+  | X_cached (* through the D-cache *)
+  | X_uncached
 
-  (* A shared script memoises the generator's stream so several cores
-     (across family members, or the same program on two cores) replay it
-     from private cursors. Extension is demand-driven and single-
-     threaded: family members run one after another, and within a run
-     the event loop interleaves cores on one domain.
+type decoded = {
+  pc : int;
+  fetch : fetch;
+  ftarget : Target.t;
+  exec : exec;
+  etarget : Target.t;
+  operand : int; (* compute cycles, or the data address *)
+  write : bool;
+  fault : string option;
+}
 
-     The memo stores entries as flat int words in fixed-size chunks
-     rather than as boxed [entry] values: long-lived scripts would
-     otherwise promote every entry to the major heap (and re-copy them
-     on growth), which in practice made a scripted replay slower than
-     regenerating from scratch.  Chunks hold only immediates, so the GC
-     never scans them, and appending a chunk never copies old data.
-     Readers decode on demand into fresh short-lived variants.
+let classify addr =
+  match Memory_map.classify addr with
+  | r -> Ok r
+  | exception Invalid_argument m -> Error m
 
-     Entries are variable-length and tightly packed — one tag word, then
-     only the payload words the tag calls for, with the 2-bit target
-     code packed into the address word and small [Ecompute] cycle
-     counts inlined into the tag word — so the common shapes cost one
-     or two words each. Readers are sequential cursors, so nothing
-     needs random access into the word stream.
-
-     Word layouts:
-       w0: bits 0-2 etag, bits 3-4 ftag, bits 5.. inline Ecompute
-           cycles (etag 7 escapes the count to its own word when it is
-           too large to inline); negative w0 marks End_of_pass.
-       fetch word (ftag 2/3):  pc lsl 2  lor target
-       exec words: etag 3/6:   addr lsl 2 lor target
-                   etag 4:     addr
-                   etag 5:     vaddr lsl 2 lor vtarget,
-                               addr lsl 2 lor target
-     Addresses and pcs are region-validated non-negative ints, so the
-     2-bit target packing never clips them. *)
-  let chunk_words = 8192
-  let max_inline_compute = max_int lsr 5
-
-  let tcode = function
-    | Target.Dfl -> 0
-    | Target.Pf0 -> 1
-    | Target.Pf1 -> 2
-    | Target.Lmu -> 3
-
-  let tdecode = function
-    | 0 -> Target.Dfl
-    | 1 -> Target.Pf0
-    | 2 -> Target.Pf1
-    | _ -> Target.Lmu
-
-  type t = {
-    mutable chunks : int array array;
-    mutable len : int;  (* entries memoised *)
-    mutable wlen : int;  (* words used *)
-    gen : unit -> entry;
-    mutable failed : exn option;
-  }
-
-  let create config program =
-    {
-      chunks = [||];
-      len = 0;
-      wlen = 0;
-      gen = generator config program;
-      failed = None;
-    }
-
-  let push t v =
-    let ci = t.wlen / chunk_words in
-    if ci = Array.length t.chunks then
-      t.chunks <- Array.append t.chunks [| Array.make chunk_words 0 |];
-    t.chunks.(ci).(t.wlen mod chunk_words) <- v;
-    t.wlen <- t.wlen + 1
-
-  let word t i = t.chunks.(i / chunk_words).(i mod chunk_words)
-
-  let encode t e =
-    (match e with
-    | End_of_pass -> push t (-1)
-    | Instr { fetch; exec } ->
-        let ftag =
-          match fetch with
-          | Fdirect -> 0
-          | Fhit -> 1
-          | Fmiss _ -> 2
-          | Funcached _ -> 3
-        in
-        let etag, inline_n =
-          match exec with
-          | Ecompute n -> if n <= max_inline_compute then (0, n) else (7, 0)
-          | Elocal -> (1, 0)
-          | Ehit -> (2, 0)
-          | Emiss_clean _ -> (3, 0)
-          | Emiss_folded _ -> (4, 0)
-          | Emiss_wb _ -> (5, 0)
-          | Euncached _ -> (6, 0)
-        in
-        push t ((inline_n lsl 5) lor (ftag lsl 3) lor etag);
-        (match fetch with
-        | Fdirect | Fhit -> ()
-        | Fmiss { target; pc } | Funcached { target; pc } ->
-            push t ((pc lsl 2) lor tcode target));
-        (match exec with
-        | Ecompute n -> if n > max_inline_compute then push t n
-        | Elocal | Ehit -> ()
-        | Emiss_folded { addr } -> push t addr
-        | Emiss_clean { target; addr } | Euncached { target; addr } ->
-            push t ((addr lsl 2) lor tcode target)
-        | Emiss_wb { vtarget; vaddr; target; addr } ->
-            push t ((vaddr lsl 2) lor tcode vtarget);
-            push t ((addr lsl 2) lor tcode target)));
-    t.len <- t.len + 1
-
-  (* Single-word entries (payload-less fetch with local/hit exec or a
-     small inlined compute count) decode to shared constants, so
-     replaying them allocates nothing. Entries are immutable, making
-     the sharing unobservable. *)
-  let ecompute_consts = Array.init 256 (fun n -> Ecompute n)
-
-  let consts =
-    Array.init (256 lsl 5) (fun w0 ->
-        if (w0 lsr 3) land 3 >= 2 then None
-        else
-          let fetch = if (w0 lsr 3) land 3 = 0 then Fdirect else Fhit in
-          match w0 land 7 with
-          | 0 -> Some (Instr { fetch; exec = Ecompute (w0 lsr 5) })
-          | 1 when w0 lsr 5 = 0 -> Some (Instr { fetch; exec = Elocal })
-          | 2 when w0 lsr 5 = 0 -> Some (Instr { fetch; exec = Ehit })
-          | _ -> None)
-
-  (* Decodes the entry at word position [!pos], advancing [pos] past it. *)
-  let decode t pos =
-    let rd () =
-      let v = word t !pos in
-      incr pos;
-      v
-    in
-    let w0 = rd () in
-    if w0 < 0 then End_of_pass
-    else
-      match if w0 < Array.length consts then consts.(w0) else None with
-      | Some e -> e
-      | None ->
-          let fetch =
-            match (w0 lsr 3) land 3 with
-            | 0 -> Fdirect
-            | 1 -> Fhit
-            | ftag ->
-                let w = rd () in
-                let target = tdecode (w land 3) and pc = w lsr 2 in
-                if ftag = 2 then Fmiss { target; pc }
-                else Funcached { target; pc }
-          in
-          let exec =
-            match w0 land 7 with
-            | 0 ->
-                let n = w0 lsr 5 in
-                if n < 256 then ecompute_consts.(n) else Ecompute n
-            | 1 -> Elocal
-            | 2 -> Ehit
-            | 3 ->
-                let w = rd () in
-                Emiss_clean { target = tdecode (w land 3); addr = w lsr 2 }
-            | 4 -> Emiss_folded { addr = rd () }
-            | 5 ->
-                let w1 = rd () in
-                let w2 = rd () in
-                Emiss_wb
-                  {
-                    vtarget = tdecode (w1 land 3);
-                    vaddr = w1 lsr 2;
-                    target = tdecode (w2 land 3);
-                    addr = w2 lsr 2;
-                  }
-            | 6 ->
-                let w = rd () in
-                Euncached { target = tdecode (w land 3); addr = w lsr 2 }
-            | _ -> Ecompute (rd ())
-          in
-          Instr { fetch; exec }
-
-  let reader t =
-    let idx = ref 0 and wpos = ref 0 in
-    fun () ->
-      while t.len <= !idx do
-        (* A generator failure (e.g. an invalid program) must replay
-           identically for every cursor that reaches this index; the
-           generator's internal state is unusable after the raise. *)
-        (match t.failed with Some e -> raise e | None -> ());
-        match t.gen () with
-        | e -> encode t e
-        | exception exn ->
-            t.failed <- Some exn;
-            raise exn
-      done;
-      incr idx;
-      decode t wpos
-end
+let decode ~icache ~dcache (instr : Program.instr) =
+  let fetch, ftarget, ffault =
+    match classify instr.Program.pc with
+    | Ok (Memory_map.Pspr | Memory_map.Dspr) -> (F_local, Target.Lmu, None)
+    | Ok (Memory_map.Sri (target, cacheable)) ->
+      ((if cacheable && icache then F_cached else F_uncached), target, None)
+    | Error m -> (F_local, Target.Lmu, Some m)
+  in
+  let data addr ~write =
+    match classify addr with
+    | Ok (Memory_map.Dspr | Memory_map.Pspr) -> (X_local, Target.Lmu, addr, write, None)
+    | Ok (Memory_map.Sri ((Target.Pf0 | Target.Pf1) as target, _)) when write ->
+      ( X_local, target, addr, write,
+        Some (Printf.sprintf "Core_model: store to program flash at 0x%x" addr) )
+    | Ok (Memory_map.Sri (target, cacheable)) ->
+      ((if cacheable && dcache then X_cached else X_uncached), target, addr, write, None)
+    | Error m -> (X_local, Target.Lmu, addr, write, Some m)
+  in
+  let exec, etarget, operand, write, xfault =
+    match instr.Program.kind with
+    | Program.Compute n -> (X_compute, Target.Lmu, n, false, None)
+    | Program.Load addr -> data addr ~write:false
+    | Program.Store addr -> data addr ~write:true
+  in
+  (* the data access is classified first, so its fault wins *)
+  let fault = if Option.is_some xfault then xfault else ffault in
+  { pc = instr.Program.pc; fetch; ftarget; exec; etarget; operand; write; fault }
 
 type phase =
   | Start
-  | Busy of int (* remaining cycles after the current one *)
-  | Wait_fetch of Sri.ticket * Script.exec (* fetch resolved -> apply exec *)
-  | Wait_writeback of Sri.ticket * (Target.t * int * bool) (* pending fill *)
-  | Wait_data of Sri.ticket
+  | Busy (* [busy] more cycles after the current one *)
+  | Wait_fetch (* fetch in flight; then execute [pending] *)
+  | Wait_writeback (* victim write-back in flight; then fill [pending] *)
+  | Wait_data
   | Done
 
 type t = {
   core_id : int;
   sri : Sri.t;
-  next : unit -> Script.entry; (* live generator or shared-script cursor *)
+  code : decoded array; (* indexed like [Program.instr] *)
+  walker : Program.Walker.t;
+  icache : Cache.t option;
+  dcache : Cache.t option;
   mutable phase : phase;
+  mutable busy : int;
+  mutable pending : int; (* [code] index of the instruction in flight *)
   mutable ccnt : int;
   mutable pmem_stall : int;
   mutable dmem_stall : int;
@@ -326,15 +106,22 @@ type t = {
   mutable synced : int; (* last cycle this core was stepped at; -1 initially *)
 }
 
-let create ?script config ~sri ~core_id program =
+let create (config : config) ~sri ~core_id program =
+  let icache = Option.map Cache.create config.icache in
+  let dcache =
+    match config.kind with P16 -> Option.map Cache.create config.dcache | E16 -> None
+  in
+  let decode = decode ~icache:(Option.is_some icache) ~dcache:(Option.is_some dcache) in
   {
     core_id;
     sri;
-    next =
-      (match script with
-       | Some s -> Script.reader s
-       | None -> Script.generator config program);
+    code = Array.init (Program.instr_count program) (fun i -> decode (Program.instr program i));
+    walker = Program.Walker.create program;
+    icache;
+    dcache;
     phase = Start;
+    busy = 0;
+    pending = 0;
     ccnt = 0;
     pmem_stall = 0;
     dmem_stall = 0;
@@ -346,119 +133,145 @@ let create ?script config ~sri ~core_id program =
     synced = -1;
   }
 
-(* Observed wait -> stall cycles: hide the pipelining/prefetch overlap the
-   calibration constants encode (see module doc). *)
-let stall_of t ticket =
-  let lat = Sri.latency_table t.sri in
-  let hide =
-    Latency.lmin lat ticket.Sri.target ticket.Sri.op
-    - Latency.min_stall lat ticket.Sri.target ticket.Sri.op
-  in
-  max 0 (ticket.Sri.done_at - ticket.Sri.issued_at - hide)
-
 let issue t ~target ~op ~addr ~folded ~cycle =
   Sri.request t.sri ~core:t.core_id ~target ~op ~addr
     ~folded_dirty_writeback:folded ~cycle
 
-(* Execute phase of a scripted instruction whose fetch has resolved;
-   consumes the current cycle. *)
-let apply_exec t (e : Script.exec) ~cycle =
-  match e with
-  | Script.Ecompute n -> t.phase <- (if n <= 1 then Start else Busy (n - 1))
-  | Script.Elocal | Script.Ehit -> t.phase <- Start
-  | Script.Emiss_clean { target; addr } ->
-    t.dcache_miss_clean <- t.dcache_miss_clean + 1;
-    let tk = issue t ~target ~op:Op.Data ~addr ~folded:false ~cycle in
-    t.phase <- Wait_data tk
-  | Script.Euncached { target; addr } ->
-    let tk = issue t ~target ~op:Op.Data ~addr ~folded:false ~cycle in
-    t.phase <- Wait_data tk
-  | Script.Emiss_folded { addr } ->
-    (* folded write-back: single long LMU transaction *)
-    t.dcache_miss_dirty <- t.dcache_miss_dirty + 1;
-    let tk = issue t ~target:Target.Lmu ~op:Op.Data ~addr ~folded:true ~cycle in
-    t.phase <- Wait_data tk
-  | Script.Emiss_wb { vtarget; vaddr; target; addr } ->
-    t.dcache_miss_dirty <- t.dcache_miss_dirty + 1;
-    let wb = issue t ~target:vtarget ~op:Op.Data ~addr:vaddr ~folded:false ~cycle in
-    t.phase <- Wait_writeback (wb, (target, addr, false))
+let cache = function Some c -> c | None -> assert false (* decode checked *)
+
+(* Execute phase of an instruction whose fetch has resolved; consumes the
+   current cycle. *)
+let apply_exec t d ~cycle =
+  match d.exec with
+  | X_compute ->
+    if d.operand <= 1 then t.phase <- Start
+    else begin
+      t.busy <- d.operand - 1;
+      t.phase <- Busy
+    end
+  | X_local -> t.phase <- Start
+  | X_uncached ->
+    issue t ~target:d.etarget ~op:Op.Data ~addr:d.operand ~folded:false ~cycle;
+    t.phase <- Wait_data
+  | X_cached ->
+    let r = Cache.access (cache t.dcache) ~addr:d.operand ~write:d.write in
+    if r = Cache.hit then t.phase <- Start
+    else if r = Cache.miss then begin
+      t.dcache_miss_clean <- t.dcache_miss_clean + 1;
+      issue t ~target:d.etarget ~op:Op.Data ~addr:d.operand ~folded:false ~cycle;
+      t.phase <- Wait_data
+    end
+    else begin
+      (* [r] is the dirty victim's line address *)
+      t.dcache_miss_dirty <- t.dcache_miss_dirty + 1;
+      let vtarget =
+        match Memory_map.classify r with
+        | Memory_map.Sri (vt, _) -> vt
+        | Memory_map.Dspr | Memory_map.Pspr ->
+          (* dirty lines only ever hold SRI-cacheable data *)
+          assert false
+      in
+      if vtarget = Target.Lmu && d.etarget = Target.Lmu then begin
+        (* folded write-back: single long LMU transaction *)
+        issue t ~target:Target.Lmu ~op:Op.Data ~addr:d.operand ~folded:true ~cycle;
+        t.phase <- Wait_data
+      end
+      else begin
+        issue t ~target:vtarget ~op:Op.Data ~addr:r ~folded:false ~cycle;
+        t.phase <- Wait_writeback
+      end
+    end
 
 (* Fetch + begin an instruction; consumes the current cycle on the fetch
    hit path (as the first execute cycle). *)
 let begin_instruction t ~cycle =
-  match t.next () with
-  | Script.End_of_pass ->
+  let i = Program.Walker.next t.walker in
+  if i < 0 then begin
+    (* rewind for a restart; caches stay warm *)
+    Program.Walker.reset t.walker;
     t.phase <- Done;
     t.finish_at <- cycle;
     t.ccnt <- t.ccnt - 1 (* the cycle just counted was not used *)
-  | Script.Instr { fetch; exec } ->
-    (match fetch with
-     | Script.Fdirect | Script.Fhit -> apply_exec t exec ~cycle
-     | Script.Fmiss { target; pc } ->
-       t.pcache_miss <- t.pcache_miss + 1;
-       let tk = issue t ~target ~op:Op.Code ~addr:pc ~folded:false ~cycle in
-       t.phase <- Wait_fetch (tk, exec)
-     | Script.Funcached { target; pc } ->
-       let tk = issue t ~target ~op:Op.Code ~addr:pc ~folded:false ~cycle in
-       t.phase <- Wait_fetch (tk, exec))
+  end
+  else begin
+    let d = t.code.(i) in
+    (match d.fault with Some m -> invalid_arg m | None -> ());
+    t.pending <- i;
+    match d.fetch with
+    | F_local -> apply_exec t d ~cycle
+    | F_cached when Cache.access (cache t.icache) ~addr:d.pc ~write:false = Cache.hit ->
+      apply_exec t d ~cycle
+    | F_cached | F_uncached ->
+      (* I-cache lines are never dirty: victims drop silently *)
+      if d.fetch = F_cached then t.pcache_miss <- t.pcache_miss + 1;
+      issue t ~target:d.ftarget ~op:Op.Code ~addr:d.pc ~folded:false ~cycle;
+      t.phase <- Wait_fetch
+  end
+
+let completed t ~cycle = Sri.done_at t.sri ~core:t.core_id <= cycle
+let stall t = Sri.stall t.sri ~core:t.core_id
 
 let step t ~cycle =
   t.synced <- cycle;
-  match t.phase with
-  | Done -> ()
-  | _ ->
+  if t.phase <> Done then begin
     t.ccnt <- t.ccnt + 1;
-    (match t.phase with
-     | Done -> ()
-     | Start -> begin_instruction t ~cycle
-     | Busy n -> t.phase <- (if n <= 1 then Start else Busy (n - 1))
-     | Wait_fetch (tk, exec) ->
-       if tk.Sri.granted && tk.Sri.done_at <= cycle then begin
-         t.pmem_stall <- t.pmem_stall + stall_of t tk;
-         apply_exec t exec ~cycle
-       end
-     | Wait_writeback (tk, (target, addr, folded)) ->
-       if tk.Sri.granted && tk.Sri.done_at <= cycle then begin
-         t.dmem_stall <- t.dmem_stall + stall_of t tk;
-         let fill = issue t ~target ~op:Op.Data ~addr ~folded ~cycle in
-         t.phase <- Wait_data fill
-       end
-     | Wait_data tk ->
-       if tk.Sri.granted && tk.Sri.done_at <= cycle then begin
-         t.dmem_stall <- t.dmem_stall + stall_of t tk;
-         t.phase <- Start
-       end)
+    match t.phase with
+    | Done -> ()
+    | Start -> begin_instruction t ~cycle
+    | Busy -> if t.busy <= 1 then t.phase <- Start else t.busy <- t.busy - 1
+    | Wait_fetch ->
+      if completed t ~cycle then begin
+        t.pmem_stall <- t.pmem_stall + stall t;
+        apply_exec t t.code.(t.pending) ~cycle
+      end
+    | Wait_writeback ->
+      if completed t ~cycle then begin
+        t.dmem_stall <- t.dmem_stall + stall t;
+        let d = t.code.(t.pending) in
+        issue t ~target:d.etarget ~op:Op.Data ~addr:d.operand ~folded:false ~cycle;
+        t.phase <- Wait_data
+      end
+    | Wait_data ->
+      if completed t ~cycle then begin
+        t.dmem_stall <- t.dmem_stall + stall t;
+        t.phase <- Start
+      end
+  end
 
-let finished t = match t.phase with Done -> true | _ -> false
+let finished t = t.phase = Done
 
 (* --- Event-driven scheduling -------------------------------------------
-   Between two observable actions a core only increments CCNT: a [Busy n]
-   core spends n silent cycles, a waiting core idles until its ticket's
-   [done_at]. [wake] reports the next cycle at which stepping the core
-   does more than count; [advance] batches the skipped CCNT cycles and
-   performs the regular [step] at that cycle; [settle] accounts a
-   contender's tail cycles when the run ends between its wake-ups. *)
+   Between two observable actions a core only increments CCNT: a [Busy]
+   core spends [busy] silent cycles, a waiting core idles until its
+   transaction's [done_at]. [wake] reports the next cycle at which
+   stepping the core does more than count; [advance] batches the skipped
+   CCNT cycles and performs the regular [step] at that cycle; [settle]
+   accounts a contender's tail cycles when the run ends between its
+   wake-ups. *)
 
 let wake t =
   match t.phase with
   | Done -> max_int
   | Start -> t.synced + 1
-  | Busy n -> t.synced + n + 1
-  | Wait_fetch (tk, _) | Wait_writeback (tk, _) | Wait_data tk ->
-    if tk.Sri.granted then max (t.synced + 1) tk.Sri.done_at else max_int
+  | Busy -> t.synced + t.busy + 1
+  | Wait_fetch | Wait_writeback | Wait_data ->
+    (* [done_at] is max_int until granted *)
+    let d = Sri.done_at t.sri ~core:t.core_id in
+    if d > t.synced + 1 then d else t.synced + 1
+
+(* Counts [d] idle cycles, draining a [Busy] burst by as much. *)
+let idle t d =
+  t.ccnt <- t.ccnt + d;
+  if t.phase = Busy then
+    if d >= t.busy then t.phase <- Start else t.busy <- t.busy - d
 
 let advance t ~cycle =
   if cycle <= t.synced then invalid_arg "Core_model.advance: cycle not ahead";
   (match t.phase with
    | Done | Start -> ()
-   | Busy n ->
+   | Busy | Wait_fetch | Wait_writeback | Wait_data ->
      let skipped = cycle - t.synced - 1 in
-     if skipped > 0 then begin
-       t.ccnt <- t.ccnt + skipped;
-       t.phase <- (if skipped >= n then Start else Busy (n - skipped))
-     end
-   | Wait_fetch _ | Wait_writeback _ | Wait_data _ ->
-     t.ccnt <- t.ccnt + (cycle - t.synced - 1));
+     if skipped > 0 then idle t skipped);
   step t ~cycle
 
 let settle t ~cycle =
@@ -469,12 +282,7 @@ let settle t ~cycle =
        (* a runnable core's wake is synced+1 <= cycle: the event loop
           always advances it first, so it can never need settling *)
        invalid_arg "Core_model.settle: core still runnable"
-     | Busy n ->
-       let d = cycle - t.synced in
-       t.ccnt <- t.ccnt + d;
-       t.phase <- (if d >= n then Start else Busy (n - d))
-     | Wait_fetch _ | Wait_writeback _ | Wait_data _ ->
-       t.ccnt <- t.ccnt + (cycle - t.synced));
+     | Busy | Wait_fetch | Wait_writeback | Wait_data -> idle t (cycle - t.synced));
     t.synced <- cycle
   end
 
@@ -492,14 +300,10 @@ let counters t =
     dcache_miss_dirty = t.dcache_miss_dirty;
   }
 
-(* The program stream rewinds itself at every pass boundary (the
-   generator resets its walker when it emits [End_of_pass]; a shared
-   script's cursor simply reads on into the next pass), so restarting is
-   pure phase bookkeeping. *)
+(* The walker rewinds itself when the program ends, so restarting is pure
+   phase bookkeeping. *)
 let restart t =
-  (match t.phase with
-   | Done -> ()
-   | _ -> invalid_arg "Core_model.restart: program still running");
+  if t.phase <> Done then invalid_arg "Core_model.restart: program still running";
   t.phase <- Start;
   t.finish_at <- -1;
   t.restart_count <- t.restart_count + 1

@@ -27,43 +27,24 @@ type config = {
 val p16_config : config
 val e16_config : config
 
-(** Decoded instruction scripts: the timing-independent part of a core's
-    execution. Which instruction runs next, how its fetch and data
-    access classify, and whether each private-cache access hits depend
-    only on the (program, core config) pair — the caches see the same
-    access sequence whatever the SRI timing is — so that classification
-    can be computed once and replayed. A script memoises the stream
-    (lazily, across contender restart passes, with warm-cache
-    carry-over) so every member of a run family that executes the same
-    program on the same core configuration skips the cache simulation
-    and walker work after the first. Scripts are single-threaded: share
-    one only between runs executed sequentially on one domain. *)
-module Script : sig
-  type t
-
-  val create : config -> Program.t -> t
-  (** A fresh, empty script for this (config, program) pair; entries are
-      generated on demand as readers consume them. *)
-end
-
 type t
 
-val create : ?script:Script.t -> config -> sri:Sri.t -> core_id:int -> Program.t -> t
-(** [script], when given, must have been built by {!Script.create} for an
-    equal [config] and a program with equal content; the core then
-    replays its entries (from a private cursor) instead of simulating
-    its own caches. Counters, stalls and SRI traffic are identical
-    either way. *)
+val create : config -> sri:Sri.t -> core_id:int -> Program.t -> t
+(** A core at the start of [program], with cold private caches. Each
+    instruction of the program text is classified (scratchpad, cached or
+    uncached SRI target) once here; the event path then allocates
+    nothing. *)
 
 val step : t -> cycle:int -> unit
 val finished : t -> bool
 
 val wake : t -> int
 (** Next cycle at which stepping this core does more than increment CCNT:
-    the cycle after a [Busy] burst drains, a granted ticket's completion
-    cycle, or the next cycle for a core about to begin an instruction.
-    [max_int] when finished or blocked on a not-yet-granted ticket (the
-    grant is an SRI event; the wake becomes finite once it fires). *)
+    the cycle after a busy burst drains, a granted transaction's
+    completion cycle, or the next cycle for a core about to begin an
+    instruction. [max_int] when finished or blocked on a not-yet-granted
+    transaction (the grant is an SRI event; the wake becomes finite once
+    it fires). *)
 
 val advance : t -> cycle:int -> unit
 (** Jump the core to [cycle] (at most [wake t]): batches the CCNT of the

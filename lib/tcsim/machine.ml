@@ -53,62 +53,37 @@ let m_cycles = Obs.Metrics.counter "tcsim.cycles"
 let m_events = Obs.Metrics.counter "tcsim.events"
 let m_skipped = Obs.Metrics.counter "tcsim.skipped_cycles"
 
-(* Timing-tier (the run cache's family path also counts its replays
-   here, and how often scripts get re-attached depends on what earlier
-   requests populated): kept out of the deterministic snapshot. *)
-let m_family_reuse = Obs.Metrics.counter ~timing:true "sim.family_reuse"
-
-(* --- run families -------------------------------------------------------
-   A family groups runs that share programs — the same task measured in
-   isolation and under several contender mixes. Members execute
-   sequentially on the caller, sharing one table of decoded
-   {!Core_model.Script}s keyed by (program content, core config): the
-   first member to run a program pays for its cache simulation and
-   decode, every later member replays the memoised stream. Results are
-   exactly what solo runs would produce (scripts are timing-independent
-   by construction; the differential suite pins it). *)
-
-type script_table =
-  (Program.item list * Core_model.config, Core_model.Script.t) Hashtbl.t
-
-let script_table () : script_table = Hashtbl.create 8
-
-let script_for (scripts : script_table) config program =
-  let key = (Program.items program, config) in
-  match Hashtbl.find_opt scripts key with
-  | Some s ->
-    Obs.Metrics.incr m_family_reuse;
-    s
-  | None ->
-    let s = Core_model.Script.create config program in
-    Hashtbl.add scripts key s;
-    s
-
 (* The seed implementation: every core and the crossbar stepped at every
-   cycle. Kept as the differential-testing oracle for the event kernel. *)
-let run_stepped ~max_cycles ~restart_contenders ~sri ~analysis_core
-    ~contender_cores =
+   cycle. Kept as the differential-testing oracle for the event kernel.
+   [cores.(0)] is the analysis core, the rest are contenders in order. *)
+let run_stepped ~max_cycles ~restart_contenders ~sri cores =
+  let analysis_core = cores.(0) in
   let cycle = ref 0 in
   while not (Core_model.finished analysis_core) do
     if !cycle > max_cycles then raise (Cycle_limit_exceeded !cycle);
     Sri.step sri ~cycle:!cycle;
     Core_model.step analysis_core ~cycle:!cycle;
-    List.iter
-      (fun (_, c) ->
-         Core_model.step c ~cycle:!cycle;
-         if Core_model.finished c && restart_contenders then Core_model.restart c)
-      contender_cores;
+    for k = 1 to Array.length cores - 1 do
+      let c = cores.(k) in
+      Core_model.step c ~cycle:!cycle;
+      if Core_model.finished c && restart_contenders then Core_model.restart c
+    done;
     incr cycle
   done
 
 (* Event-driven kernel: jump the clock to the earliest pending event —
    a core wake-up or an SRI grant slot — instead of ticking every cycle.
    Processing order within an event cycle mirrors the stepped loop
-   exactly (grants, then the analysis core, then contenders in list
-   order), so arbitration and counters are bit-identical; see DESIGN.md
+   exactly (grants, then the analysis core, then contenders in order),
+   so arbitration and counters are bit-identical; see DESIGN.md
    "Simulator kernel" for the completeness argument. *)
-let run_event ~max_cycles ~restart_contenders ~sri ~analysis_core
-    ~contender_cores =
+let run_event ~max_cycles ~restart_contenders ~sri cores =
+  let analysis_core = cores.(0) in
+  (* The wakes taken for the clock jump also pick the cores to advance
+     at [t]: a grant at [t] moves a queued core's wake from max_int to a
+     completion cycle past [t], and no core's action changes another
+     core's wake, so [wake c = t] holds before the grants iff after. *)
+  let wakes = Array.make (Array.length cores) max_int in
   let events = ref 0 and skipped = ref 0 in
   let last = ref (-1) in
   Fun.protect
@@ -116,41 +91,39 @@ let run_event ~max_cycles ~restart_contenders ~sri ~analysis_core
         Obs.Metrics.add m_events !events;
         Obs.Metrics.add m_skipped !skipped)
     (fun () ->
-       let finished = ref false in
-       while not !finished do
-         let t =
-           List.fold_left
-             (fun acc (_, c) -> min acc (Core_model.wake c))
-             (min (Core_model.wake analysis_core) (Sri.next_grant_at sri))
-             contender_cores
-         in
+       while not (Core_model.finished analysis_core) do
+         let t = ref (Sri.next_grant_at sri) in
+         for k = 0 to Array.length cores - 1 do
+           let w = Core_model.wake cores.(k) in
+           wakes.(k) <- w;
+           if w < !t then t := w
+         done;
+         let t = !t in
          if t = max_int then
            (* unreachable: a blocked analysis core always has a queued or
-              granted ticket, both of which schedule an event *)
+              granted transaction, both of which schedule an event *)
            failwith "Machine.run: event kernel has no pending event";
          if t > max_cycles then raise (Cycle_limit_exceeded (max_cycles + 1));
          incr events;
          skipped := !skipped + (t - !last - 1);
          last := t;
          Sri.step sri ~cycle:t;
-         if Core_model.wake analysis_core = t then
-           Core_model.advance analysis_core ~cycle:t;
-         List.iter
-           (fun (_, c) ->
-              if Core_model.wake c = t then begin
-                Core_model.advance c ~cycle:t;
-                if Core_model.finished c && restart_contenders then
-                  Core_model.restart c
-              end)
-           contender_cores;
-         if Core_model.finished analysis_core then begin
-           List.iter (fun (_, c) -> Core_model.settle c ~cycle:t) contender_cores;
-           finished := true
-         end
+         for k = 0 to Array.length cores - 1 do
+           if wakes.(k) = t then begin
+             let c = cores.(k) in
+             Core_model.advance c ~cycle:t;
+             if k > 0 && restart_contenders && Core_model.finished c then
+               Core_model.restart c
+           end
+         done;
+         if Core_model.finished analysis_core then
+           for k = 1 to Array.length cores - 1 do
+             Core_model.settle cores.(k) ~cycle:t
+           done
        done)
 
 let run ?(config = default_config) ?(max_cycles = default_max_cycles)
-    ?(restart_contenders = true) ?priorities ?(trace = false) ?kernel ?scripts
+    ?(restart_contenders = true) ?priorities ?(trace = false) ?kernel
     ~analysis ?(contenders = []) () =
   Obs.Metrics.incr m_runs;
   let finish_cycle = ref 0 in
@@ -173,23 +146,18 @@ let run ?(config = default_config) ?(max_cycles = default_max_cycles)
        Hashtbl.add seen t.core ())
     all_tasks;
   let sri = Sri.create ~latency:config.latency ?priorities ~trace ~ncores () in
-  let make_core t =
-    let script =
-      Option.map (fun tbl -> script_for tbl config.cores.(t.core) t.program) scripts
-    in
-    Core_model.create ?script config.cores.(t.core) ~sri ~core_id:t.core t.program
+  let cores =
+    Array.of_list
+      (List.map
+         (fun t -> Core_model.create config.cores.(t.core) ~sri ~core_id:t.core t.program)
+         all_tasks)
   in
-  let analysis_core = make_core analysis in
-  let contender_cores = List.map (fun t -> (t.core, make_core t)) contenders in
-  (match
-     match kernel with Some k -> k | None -> default_kernel ()
-   with
-   | `Stepped ->
-     run_stepped ~max_cycles ~restart_contenders ~sri ~analysis_core
-       ~contender_cores
-   | `Event ->
-     run_event ~max_cycles ~restart_contenders ~sri ~analysis_core
-       ~contender_cores);
+  Fun.protect
+    ~finally:(fun () -> Sri.flush_metrics sri)
+    (fun () ->
+       match match kernel with Some k -> k | None -> default_kernel () with
+       | `Stepped -> run_stepped ~max_cycles ~restart_contenders ~sri cores
+       | `Event -> run_event ~max_cycles ~restart_contenders ~sri cores);
   let result_of core =
     {
       counters = Core_model.counters core;
@@ -199,9 +167,9 @@ let run ?(config = default_config) ?(max_cycles = default_max_cycles)
   in
   let result =
     {
-      cycles = Core_model.finish_cycle analysis_core;
-      analysis = result_of analysis_core;
-      contenders = List.map (fun (id, c) -> (id, result_of c)) contender_cores;
+      cycles = Core_model.finish_cycle cores.(0);
+      analysis = result_of cores.(0);
+      contenders = List.mapi (fun k t -> (t.core, result_of cores.(k + 1))) contenders;
       trace = Sri.trace sri;
     }
   in
@@ -231,10 +199,9 @@ let spec ?(restart_contenders = true) ?priorities ?(trace = false) ~analysis
   }
 
 let run_family ?config ?max_cycles ?kernel specs =
-  let scripts = script_table () in
   List.map
     (fun s ->
        run ?config ?max_cycles ~restart_contenders:s.sp_restart_contenders
-         ?priorities:s.sp_priorities ~trace:s.sp_trace ?kernel ~scripts
+         ?priorities:s.sp_priorities ~trace:s.sp_trace ?kernel
          ~analysis:s.sp_analysis ~contenders:s.sp_contenders ())
     specs

@@ -56,14 +56,6 @@ val set_default_kernel : kernel -> unit
 val default_max_cycles : int
 (** The default runaway guard, [200_000_000]. *)
 
-type script_table
-(** A memo of decoded {!Core_model.Script}s keyed by (program content,
-    core config), shared by the members of a run family. Stateful and
-    single-threaded: use one table only for runs executed sequentially
-    on one domain. *)
-
-val script_table : unit -> script_table
-
 val run :
   ?config:config ->
   ?max_cycles:int ->
@@ -71,7 +63,6 @@ val run :
   ?priorities:int array ->
   ?trace:bool ->
   ?kernel:kernel ->
-  ?scripts:script_table ->
   analysis:task ->
   ?contenders:task list ->
   unit ->
@@ -83,11 +74,7 @@ val run :
     records every SRI transaction. [max_cycles] (default
     {!default_max_cycles}) guards against runaway programs. [kernel]
     selects the simulation loop (default {!default_kernel}); results do
-    not depend on the choice. [scripts] attaches the run to a family:
-    per-core instruction decode and private-cache simulation are
-    memoised in the table and replayed by later runs that share it —
-    results are identical with or without (the [sim.family_reuse]
-    counter records how many attachments were reuses).
+    not depend on the choice.
     @raise Cycle_limit_exceeded when the budget is exhausted.
     @raise Invalid_argument on core-index clashes or out-of-range cores. *)
 
@@ -102,14 +89,9 @@ val run_isolation :
 
 (** {1 Run families}
 
-    A family groups runs that share programs — typically one task
-    measured in isolation and under several contender mixes. Members
-    execute sequentially in list order, sharing one {!script_table}:
-    the first member to run a (program, core config) pair pays for its
-    decode and cache simulation, every later member replays the memoised
-    stream. Each member's {!run_result} is exactly what a solo {!run}
-    with the same arguments would produce (pinned by a differential
-    qcheck property). *)
+    A family is a list of related runs — typically one task measured in
+    isolation and under several contender mixes — executed one after
+    another through {!run}. *)
 
 type spec = {
   sp_restart_contenders : bool;
@@ -139,7 +121,6 @@ val run_family :
   ?kernel:kernel ->
   spec list ->
   run_result list
-(** Runs every member in order, sharing scripts; results in member
-    order. An exception from a member ({!Cycle_limit_exceeded},
-    validation errors) propagates immediately — as with sequential solo
-    runs, later members do not execute. *)
+(** [List.map] of {!run} over the members; results in member order. An
+    exception from a member ({!Cycle_limit_exceeded}, validation errors)
+    propagates immediately and later members do not execute. *)

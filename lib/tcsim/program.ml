@@ -3,17 +3,46 @@ type kind = Compute of int | Load of int | Store of int
 type instr = { pc : int; kind : kind }
 type item = I of instr | Loop of { count : int; body : item list }
 
-(* Compiled form: loops flattened to arrays for a fast cursor. *)
-type citem = CI of instr | CLoop of int * citem array
+(* Compiled form: one flat int array walked with an explicit loop stack.
+   An entry [c >= 0] is an index into [instrs]; a loop of [count >= 1]
+   iterations is [-count], its body, then [loop_end]. Loops that can
+   never yield an instruction (zero count, or only such loops inside)
+   are dropped. *)
+type t = {
+  name : string;
+  items : item list;
+  instrs : instr array;
+  code : int array;
+  depth : int; (* deepest loop nesting in [code] *)
+}
 
-type t = { name : string; items : item list; compiled : citem array }
+let loop_end = min_int
 
-let rec compile items =
-  items
-  |> List.map (function
-      | I i -> CI i
-      | Loop { count; body } -> CLoop (count, compile body))
-  |> Array.of_list
+let rec yields = function
+  | I _ -> true
+  | Loop { count; body } -> count > 0 && List.exists yields body
+
+let compile items =
+  let instrs = ref [] and n = ref 0 and code = ref [] and depth = ref 0 in
+  let emit c = code := c :: !code in
+  let rec go d items =
+    depth := max !depth d;
+    List.iter
+      (function
+        | I i ->
+          instrs := i :: !instrs;
+          emit !n;
+          incr n
+        | Loop { count; body } as l ->
+          if yields l then begin
+            emit (-count);
+            go (d + 1) body;
+            emit loop_end
+          end)
+      items
+  in
+  go 0 items;
+  (Array.of_list (List.rev !instrs), Array.of_list (List.rev !code), !depth)
 
 let rec validate items =
   List.iter
@@ -28,10 +57,13 @@ let rec validate items =
 
 let make ~name items =
   validate items;
-  { name; items; compiled = compile items }
+  let instrs, code, depth = compile items in
+  { name; items; instrs; code; depth }
 
 let name p = p.name
 let items p = p.items
+let instr_count p = Array.length p.instrs
+let instr p i = p.instrs.(i)
 
 let seq ~pc_base ?(pc_stride = 4) kinds =
   List.mapi (fun i k -> I { pc = pc_base + (i * pc_stride); kind = k }) kinds
@@ -73,51 +105,63 @@ let code_footprint p =
 module Walker = struct
   type program = t
 
-  type frame = { body : citem array; mutable idx : int; mutable remaining : int }
-  (* [remaining] counts loop iterations left for this frame *)
-
+  (* [starts]/[remaining]: body start and iterations left of each open
+     loop, innermost at [sp - 1]. *)
   type t = {
     prog : program;
-    mutable stack : frame list;
+    starts : int array;
+    remaining : int array;
+    mutable sp : int;
+    mutable ip : int;
     mutable count : int;
   }
 
-  let fresh_stack prog = [ { body = prog.compiled; idx = 0; remaining = 1 } ]
-  let create prog = { prog; stack = fresh_stack prog; count = 0 }
+  let create prog =
+    {
+      prog;
+      starts = Array.make prog.depth 0;
+      remaining = Array.make prog.depth 0;
+      sp = 0;
+      ip = 0;
+      count = 0;
+    }
 
   let reset w =
-    w.stack <- fresh_stack w.prog;
+    w.sp <- 0;
+    w.ip <- 0;
     w.count <- 0
 
   let rec next w =
-    match w.stack with
-    | [] -> None
-    | frame :: rest ->
-      if frame.idx >= Array.length frame.body then begin
-        frame.remaining <- frame.remaining - 1;
-        if frame.remaining > 0 then begin
-          frame.idx <- 0;
-          next w
+    let code = w.prog.code in
+    if w.ip >= Array.length code then -1
+    else begin
+      let c = code.(w.ip) in
+      if c >= 0 then begin
+        w.ip <- w.ip + 1;
+        w.count <- w.count + 1;
+        c
+      end
+      else if c = loop_end then begin
+        let top = w.sp - 1 in
+        let r = w.remaining.(top) - 1 in
+        if r > 0 then begin
+          w.remaining.(top) <- r;
+          w.ip <- w.starts.(top)
         end
         else begin
-          w.stack <- rest;
-          next w
-        end
+          w.sp <- top;
+          w.ip <- w.ip + 1
+        end;
+        next w
       end
       else begin
-        let item = frame.body.(frame.idx) in
-        frame.idx <- frame.idx + 1;
-        match item with
-        | CI i ->
-          w.count <- w.count + 1;
-          Some i
-        | CLoop (count, body) ->
-          if count = 0 || Array.length body = 0 then next w
-          else begin
-            w.stack <- { body; idx = 0; remaining = count } :: w.stack;
-            next w
-          end
+        w.starts.(w.sp) <- w.ip + 1;
+        w.remaining.(w.sp) <- -c;
+        w.sp <- w.sp + 1;
+        w.ip <- w.ip + 1;
+        next w
       end
+    end
 
   let executed w = w.count
 end

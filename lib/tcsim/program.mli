@@ -25,6 +25,13 @@ val make : name:string -> item list -> t
 val name : t -> string
 val items : t -> item list
 
+val instr_count : t -> int
+(** Number of instructions the {!Walker} can return: the program text
+    minus instructions inside loops that never run. *)
+
+val instr : t -> int -> instr
+(** [instr p i] for [0 <= i < instr_count p], in text order. *)
+
 val seq : pc_base:int -> ?pc_stride:int -> kind list -> item list
 (** Lays instruction kinds out at consecutive addresses starting at
     [pc_base] with the given stride (default 4 bytes). *)
@@ -47,11 +54,11 @@ module Walker : sig
   type t
 
   val create : program -> t
-  val next : t -> instr option
-  (** [None] once the program is exhausted. *)
+  val next : t -> int
+  (** Index (for {!instr}) of the next instruction, or [-1] once the
+      program is exhausted. Allocates nothing. *)
 
   val reset : t -> unit
   val executed : t -> int
-  (** Instructions returned since creation / last reset that returned
-      [Some]. *)
+  (** Instructions returned since creation / last reset. *)
 end

@@ -1,118 +1,62 @@
 open Platform
 
-type ticket = {
-  mutable done_at : int;
-  mutable granted : bool;
-  issued_at : int;
-  target : Target.t;
-  op : Op.t;
-}
+(* All state is preallocated int/bool arrays, so arbitration allocates
+   nothing once a run has started (traced runs excepted).
 
-type pending = { p_core : int; p_line : int; p_folded : bool; p_ticket : ticket }
+   Per interface [i] ([Target.rank]): occupancy, prefetch line buffer,
+   round-robin pointer, and a pending queue of core ids in arrival order
+   ([queue.(i * ncores + k)], [k < qlen.(i)]).
 
-(* Insertion-ordered pending queue. A growable ring buffer instead of a
-   list: [push] is amortised O(1) (the old [queue @ [p]] copied the whole
-   queue per request) and [remove] compacts leftwards so the surviving
-   elements keep their arrival order — the property the round-robin
-   arbiter's class scan relies on. Capacity is bounded in practice by the
-   master count (each master has at most one outstanding transaction). *)
-module Fifo = struct
-  type 'a t = { mutable buf : 'a option array; mutable head : int; mutable len : int }
+   Per core: one transaction slot, reused by the core's next request —
+   a core has at most one outstanding transaction. [done_at] is
+   [max_int] until the slot is granted; [queued_on] is the interface it
+   waits on, or -1.
 
-  let create () = { buf = Array.make 8 None; head = 0; len = 0 }
-  let is_empty q = q.len = 0
+   Per-(target, op) tables are dense over [Op.pair_index]. *)
 
-  let push q x =
-    let cap = Array.length q.buf in
-    if q.len = cap then begin
-      let buf = Array.make (2 * cap) None in
-      for i = 0 to q.len - 1 do
-        buf.(i) <- q.buf.((q.head + i) mod cap)
-      done;
-      q.buf <- buf;
-      q.head <- 0
-    end;
-    q.buf.((q.head + q.len) mod Array.length q.buf) <- Some x;
-    q.len <- q.len + 1
-
-  (* Left-to-right = arrival order, like the list it replaces. *)
-  let fold f acc q =
-    let cap = Array.length q.buf in
-    let acc = ref acc in
-    for i = 0 to q.len - 1 do
-      match q.buf.((q.head + i) mod cap) with
-      | Some x -> acc := f !acc x
-      | None -> assert false
-    done;
-    !acc
-
-  (* Removes the element physically equal to [x]; later arrivals shift
-     left one slot, preserving relative order. *)
-  let remove q x =
-    let cap = Array.length q.buf in
-    let kept = ref 0 in
-    let found = ref false in
-    for i = 0 to q.len - 1 do
-      let slot = (q.head + i) mod cap in
-      match q.buf.(slot) with
-      | Some y when y == x ->
-        q.buf.(slot) <- None;
-        found := true
-      | Some y ->
-        q.buf.(slot) <- None;
-        q.buf.((q.head + !kept) mod cap) <- Some y;
-        incr kept
-      | None -> assert false
-    done;
-    if not !found then invalid_arg "Sri: removing a transaction that is not queued";
-    q.len <- !kept
-end
-
-type iface = {
-  target : Target.t;
-  mutable busy_until : int;
-  mutable last_line : int; (* line-aligned addr of the last served transaction *)
-  mutable has_line : bool;
-  mutable last_served_core : int;
-  queue : pending Fifo.t; (* insertion order *)
-}
+let targets = Array.of_list Target.all (* indexed by [Target.rank] *)
 
 type t = {
-  latency : Latency.t;
   ncores : int;
   priorities : int array;
-  ifaces : iface array;
-  profiles : Access_profile.t array;
-  served_counts : int array;
+  lmin : int array; (* per pair *)
+  lmax : int array;
+  hide : int array; (* lmin - cs: the overlap a stall reading hides *)
+  lmu_dirty_lmax : int;
+  (* per interface *)
+  busy_until : int array;
+  last_line : int array; (* line-aligned addr of the last served transaction *)
+  has_line : bool array;
+  last_served : int array;
+  queue : int array;
+  qlen : int array;
+  (* per core *)
+  issued_at : int array;
+  done_at : int array;
+  line : int array;
+  op : Op.t array;
+  pair : int array; (* [Op.pair_index] of (target, op) *)
+  folded : bool array;
+  queued_on : int array;
+  counts : int array; (* ground-truth profile: [core * Op.pair_count + pair] *)
+  (* per interface, since the last [flush_metrics] *)
+  busy_cycles : int array;
+  wait_cycles : int array;
+  grants : int array;
   tracing : bool;
   mutable events : Trace.event list; (* newest first *)
 }
 
-let iface_index = function
-  | Target.Dfl -> 0
-  | Target.Pf0 -> 1
-  | Target.Pf1 -> 2
-  | Target.Lmu -> 3
-
-(* Per-target service/wait cycle totals, indexed like [ifaces] (both
-   arrays are built over [Target.all] in [iface_index] order). Values
-   are simulated cycles, so the totals are exactly reproducible and
-   jobs-invariant — the software analogue of the DSU's per-slave
-   occupancy counters. *)
-let target_tag = function
-  | Target.Dfl -> "dfl"
-  | Target.Pf0 -> "pf0"
-  | Target.Pf1 -> "pf1"
-  | Target.Lmu -> "lmu"
-
+(* Per-target service/wait cycle totals. Values are simulated cycles, so
+   the totals are exactly reproducible and jobs-invariant — the software
+   analogue of the DSU's per-slave occupancy counters. *)
 let m_busy, m_wait, m_grants =
-  let mk f = Array.of_list (List.map f Target.all) in
-  ( mk (fun t ->
-        Obs.Metrics.gauge (Printf.sprintf "sri.%s.busy_cycles" (target_tag t))),
-    mk (fun t ->
-        Obs.Metrics.gauge (Printf.sprintf "sri.%s.wait_cycles" (target_tag t))),
-    mk (fun t ->
-        Obs.Metrics.counter (Printf.sprintf "sri.%s.grants" (target_tag t))) )
+  let mk f =
+    Array.map (fun t -> f (Printf.sprintf "sri.%s.%s" (Target.to_string t))) targets
+  in
+  ( mk (fun n -> Obs.Metrics.gauge (n "busy_cycles")),
+    mk (fun n -> Obs.Metrics.gauge (n "wait_cycles")),
+    mk (fun n -> Obs.Metrics.counter (n "grants")) )
 
 let create ?(latency = Latency.default) ?priorities ?(trace = false) ~ncores () =
   let priorities =
@@ -123,98 +67,116 @@ let create ?(latency = Latency.default) ?priorities ?(trace = false) ~ncores () 
         invalid_arg "Sri.create: priority array length mismatch";
       Array.copy p
   in
+  let per_pair f =
+    let a = Array.make Op.pair_count 0 in
+    List.iter (fun (t, o) -> a.(Op.pair_index t o) <- f t o) Op.valid_pairs;
+    a
+  in
+  let ntargets = Array.length targets in
   {
-    latency;
     ncores;
     priorities;
-    ifaces =
-      Array.of_list
-        (List.map
-           (fun target ->
-              {
-                target;
-                busy_until = 0;
-                last_line = 0;
-                has_line = false;
-                last_served_core = ncores - 1;
-                queue = Fifo.create ();
-              })
-           Target.all);
-    profiles = Array.make ncores Access_profile.zero;
-    served_counts = Array.make ncores 0;
+    lmin = per_pair (Latency.lmin latency);
+    lmax = per_pair (Latency.lmax latency);
+    hide = per_pair (fun t o -> Latency.lmin latency t o - Latency.min_stall latency t o);
+    lmu_dirty_lmax = Latency.lmu_dirty_lmax latency;
+    busy_until = Array.make ntargets 0;
+    last_line = Array.make ntargets 0;
+    has_line = Array.make ntargets false;
+    last_served = Array.make ntargets (ncores - 1);
+    queue = Array.make (ntargets * ncores) 0;
+    qlen = Array.make ntargets 0;
+    issued_at = Array.make ncores 0;
+    done_at = Array.make ncores max_int;
+    line = Array.make ncores 0;
+    op = Array.make ncores Op.Code;
+    pair = Array.make ncores 0;
+    folded = Array.make ncores false;
+    queued_on = Array.make ncores (-1);
+    counts = Array.make (ncores * Op.pair_count) 0;
+    busy_cycles = Array.make ntargets 0;
+    wait_cycles = Array.make ntargets 0;
+    grants = Array.make ntargets 0;
     tracing = trace;
     events = [];
   }
+
+let lmu = Target.rank Target.Lmu
 
 (* Streaming (line-buffer) hits only exist on the flash interfaces; the
    LMU SRAM has lmin = lmax anyway. The 256-bit buffer serves repeats of
    the current line and — thanks to next-line prefetch — the immediately
    following line of a sequential stream. *)
-let service_time t iface ~op ~line ~folded =
-  if folded && Target.equal iface.target Target.Lmu then
-    Latency.lmu_dirty_lmax t.latency
+let service_time t i core =
+  let line = t.line.(core) in
+  if t.folded.(core) && i = lmu then t.lmu_dirty_lmax
   else if
-    Target.is_flash iface.target && iface.has_line
-    && (iface.last_line = line || iface.last_line + Memory_map.line_bytes = line)
-  then Latency.lmin t.latency iface.target op
-  else Latency.lmax t.latency iface.target op
+    i <> lmu && t.has_line.(i)
+    && (t.last_line.(i) = line || t.last_line.(i) + Memory_map.line_bytes = line)
+  then t.lmin.(t.pair.(core))
+  else t.lmax.(t.pair.(core))
 
 (* Arbitration: most urgent priority class first (lower value wins), then
    round-robin within the class — smallest positive distance from the last
-   served master. *)
-let rr_pick t iface =
-  if Fifo.is_empty iface.queue then None
-  else begin
-    let best_class =
-      Fifo.fold (fun acc p -> min acc t.priorities.(p.p_core)) max_int iface.queue
-    in
-    let dist core =
-      let d = (core - iface.last_served_core + t.ncores) mod t.ncores in
-      if d = 0 then t.ncores else d
-    in
-    Fifo.fold
-      (fun acc p ->
-         if t.priorities.(p.p_core) <> best_class then acc
-         else
-           match acc with
-           | None -> Some p
-           | Some b -> if dist p.p_core < dist b.p_core then Some p else acc)
-      None iface.queue
-  end
+   served master. Returns the queue position of the winner. *)
+let rr_pick t i =
+  let base = i * t.ncores in
+  let best_class = ref max_int in
+  for k = 0 to t.qlen.(i) - 1 do
+    let p = t.priorities.(t.queue.(base + k)) in
+    if p < !best_class then best_class := p
+  done;
+  let best = ref (-1) and best_dist = ref max_int in
+  for k = 0 to t.qlen.(i) - 1 do
+    let core = t.queue.(base + k) in
+    if t.priorities.(core) = !best_class then begin
+      let d = (core - t.last_served.(i) + t.ncores) mod t.ncores in
+      let d = if d = 0 then t.ncores else d in
+      if d < !best_dist then begin
+        best := k;
+        best_dist := d
+      end
+    end
+  done;
+  !best
 
-let grant t iface cycle p =
-  let svc = service_time t iface ~op:p.p_ticket.op ~line:p.p_line ~folded:p.p_folded in
-  p.p_ticket.granted <- true;
-  p.p_ticket.done_at <- cycle + svc;
-  iface.busy_until <- cycle + svc;
-  iface.last_line <- p.p_line;
-  iface.has_line <- true;
-  iface.last_served_core <- p.p_core;
-  Fifo.remove iface.queue p;
-  t.profiles.(p.p_core) <-
-    Access_profile.incr t.profiles.(p.p_core) iface.target p.p_ticket.op;
-  t.served_counts.(p.p_core) <- t.served_counts.(p.p_core) + 1;
-  let idx = iface_index iface.target in
-  Obs.Metrics.gauge_add m_busy.(idx) svc;
-  Obs.Metrics.gauge_add m_wait.(idx) (cycle - p.p_ticket.issued_at);
-  Obs.Metrics.incr m_grants.(idx);
+let grant t i cycle k =
+  let base = i * t.ncores in
+  let core = t.queue.(base + k) in
+  let svc = service_time t i core in
+  let waited = cycle - t.issued_at.(core) in
+  t.done_at.(core) <- cycle + svc;
+  t.busy_until.(i) <- cycle + svc;
+  t.last_line.(i) <- t.line.(core);
+  t.has_line.(i) <- true;
+  t.last_served.(i) <- core;
+  (* later arrivals shift left one slot, keeping arrival order *)
+  for j = base + k to base + t.qlen.(i) - 2 do
+    t.queue.(j) <- t.queue.(j + 1)
+  done;
+  t.qlen.(i) <- t.qlen.(i) - 1;
+  t.queued_on.(core) <- -1;
+  let c = (core * Op.pair_count) + t.pair.(core) in
+  t.counts.(c) <- t.counts.(c) + 1;
+  t.busy_cycles.(i) <- t.busy_cycles.(i) + svc;
+  t.wait_cycles.(i) <- t.wait_cycles.(i) + waited;
+  t.grants.(i) <- t.grants.(i) + 1;
   if t.tracing then
     t.events <-
       {
-        Trace.issue_cycle = p.p_ticket.issued_at;
+        Trace.issue_cycle = t.issued_at.(core);
         grant_cycle = cycle;
         complete_cycle = cycle + svc;
-        core = p.p_core;
-        target = iface.target;
-        op = p.p_ticket.op;
+        core;
+        target = targets.(i);
+        op = t.op.(core);
         service = svc;
-        waited = cycle - p.p_ticket.issued_at;
+        waited;
       }
       :: t.events
 
-let try_grant t iface ~cycle =
-  if iface.busy_until <= cycle then
-    match rr_pick t iface with None -> () | Some p -> grant t iface cycle p
+let try_grant t i ~cycle =
+  if t.qlen.(i) > 0 && t.busy_until.(i) <= cycle then grant t i cycle (rr_pick t i)
 
 let request t ~core ~target ~op ~addr ~folded_dirty_writeback ~cycle =
   if not (Op.valid target op) then
@@ -222,21 +184,29 @@ let request t ~core ~target ~op ~addr ~folded_dirty_writeback ~cycle =
       (Printf.sprintf "Sri.request: inadmissible (%s, %s)"
          (Target.to_string target) (Op.to_string op));
   if core < 0 || core >= t.ncores then invalid_arg "Sri.request: bad core id";
-  let ticket = { done_at = max_int; granted = false; issued_at = cycle; target; op } in
-  let p =
-    {
-      p_core = core;
-      p_line = Memory_map.line_of addr;
-      p_folded = folded_dirty_writeback;
-      p_ticket = ticket;
-    }
-  in
-  let iface = t.ifaces.(iface_index target) in
-  Fifo.push iface.queue p;
-  try_grant t iface ~cycle;
-  ticket
+  if t.queued_on.(core) >= 0 then
+    invalid_arg "Sri.request: core already has a queued transaction";
+  let i = Target.rank target in
+  t.issued_at.(core) <- cycle;
+  t.done_at.(core) <- max_int;
+  t.line.(core) <- Memory_map.line_of addr;
+  t.op.(core) <- op;
+  t.pair.(core) <- Op.pair_index target op;
+  t.folded.(core) <- folded_dirty_writeback;
+  t.queued_on.(core) <- i;
+  t.queue.((i * t.ncores) + t.qlen.(i)) <- core;
+  t.qlen.(i) <- t.qlen.(i) + 1;
+  try_grant t i ~cycle
 
-let step t ~cycle = Array.iter (fun iface -> try_grant t iface ~cycle) t.ifaces
+let done_at t ~core = t.done_at.(core)
+
+let stall t ~core =
+  Int.max 0 (t.done_at.(core) - t.issued_at.(core) - t.hide.(t.pair.(core)))
+
+let step t ~cycle =
+  for i = 0 to Array.length t.qlen - 1 do
+    try_grant t i ~cycle
+  done
 
 (* Earliest future cycle at which any interface can issue a grant. An
    interface with queued requests holds them exactly until [busy_until]
@@ -244,17 +214,28 @@ let step t ~cycle = Array.iter (fun iface -> try_grant t iface ~cycle) t.ifaces
    carries a queue across cycles); interfaces with empty queues have
    nothing to schedule. *)
 let next_grant_at t =
-  Array.fold_left
-    (fun acc iface ->
-       if Fifo.is_empty iface.queue then acc else min acc iface.busy_until)
-    max_int t.ifaces
-let busy t target ~at = t.ifaces.(iface_index target).busy_until > at
-let profile t ~core = t.profiles.(core)
-let served t ~core = t.served_counts.(core)
+  let acc = ref max_int in
+  for i = 0 to Array.length t.qlen - 1 do
+    if t.qlen.(i) > 0 && t.busy_until.(i) < !acc then acc := t.busy_until.(i)
+  done;
+  !acc
 
-let reset_profiles t =
-  Array.fill t.profiles 0 t.ncores Access_profile.zero;
-  Array.fill t.served_counts 0 t.ncores 0
+let profile t ~core =
+  Access_profile.make
+    (List.map
+       (fun (target, op) ->
+          ((target, op), t.counts.((core * Op.pair_count) + Op.pair_index target op)))
+       Op.valid_pairs)
 
-let latency_table t = t.latency
+let flush_metrics t =
+  Array.iteri
+    (fun i _ ->
+       Obs.Metrics.gauge_add m_busy.(i) t.busy_cycles.(i);
+       Obs.Metrics.gauge_add m_wait.(i) t.wait_cycles.(i);
+       Obs.Metrics.add m_grants.(i) t.grants.(i))
+    targets;
+  Array.fill t.busy_cycles 0 (Array.length targets) 0;
+  Array.fill t.wait_cycles 0 (Array.length targets) 0;
+  Array.fill t.grants 0 (Array.length targets) 0
+
 let trace t = List.rev t.events

@@ -18,14 +18,6 @@
 
 open Platform
 
-type ticket = private {
-  mutable done_at : int;  (** cycle at which the transaction completes *)
-  mutable granted : bool;
-  issued_at : int;
-  target : Target.t;
-  op : Op.t;
-}
-
 type t
 
 val create :
@@ -48,12 +40,25 @@ val request :
   addr:int ->
   folded_dirty_writeback:bool ->
   cycle:int ->
-  ticket
-(** Enqueues a transaction; it may be granted within the same cycle if the
-    target is idle. [folded_dirty_writeback] marks a cacheable LMU fill
-    whose victim write-back is folded into the same transaction (the
-    bracketed 21-cycle latency of Table 2).
-    @raise Invalid_argument on an inadmissible (target, op) pair. *)
+  unit
+(** Enqueues a transaction in the core's transaction slot; it may be
+    granted within the same cycle if the target is idle. A core has at
+    most one outstanding transaction: the slot is reused by its next
+    request. [folded_dirty_writeback] marks a cacheable LMU fill whose
+    victim write-back is folded into the same transaction (the bracketed
+    21-cycle latency of Table 2).
+    @raise Invalid_argument on an inadmissible (target, op) pair, a bad
+    core id, or a core whose previous request is still queued. *)
+
+val done_at : t -> core:int -> int
+(** Completion cycle of the core's last transaction; [max_int] until it
+    is granted. *)
+
+val stall : t -> core:int -> int
+(** Stall cycles the core's completed last transaction contributes to
+    PMEM_STALL / DMEM_STALL: its observed end-to-end latency minus the
+    pipelining/prefetch overlap [lmin - cs] the Table 2 constants encode,
+    floored at 0 (see {!Core_model}). *)
 
 val step : t -> cycle:int -> unit
 (** Grants pending requests on every target that is idle at [cycle]. Call
@@ -69,14 +74,15 @@ val next_grant_at : t -> int
     immediately by {!request}), so stepping the crossbar only at these
     cycles is observationally identical to stepping it every cycle. *)
 
-val busy : t -> Target.t -> at:int -> bool
-
 val profile : t -> core:int -> Access_profile.t
 (** Ground-truth per-target access counts served so far for a master. *)
 
-val served : t -> core:int -> int
-val reset_profiles : t -> unit
-val latency_table : t -> Latency.t
+val flush_metrics : t -> unit
+(** Adds the service cycles, wait cycles and grants accumulated since the
+    last flush to the [sri.<target>.busy_cycles], [.wait_cycles] and
+    [.grants] metrics, then zeroes the local totals. Grants only
+    accumulate locally, so the event path touches no shared counter;
+    {!Machine.run} flushes once per run, also when the run raises. *)
 
 val trace : t -> Trace.t
 (** Recorded transactions in completion order; empty when tracing is

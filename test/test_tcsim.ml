@@ -72,12 +72,10 @@ let test_line_of () =
 
 let test_cache_hit_miss () =
   let c = Cache.create { Cache.size_bytes = 256; ways = 2; line_bytes = 32 } in
-  (match Cache.access c ~addr:0x1000 ~write:false with
-   | Cache.Miss { victim = None } -> ()
-   | _ -> Alcotest.fail "cold access should miss cleanly");
-  (match Cache.access c ~addr:0x1004 ~write:false with
-   | Cache.Hit -> ()
-   | _ -> Alcotest.fail "same line should hit");
+  Alcotest.(check int) "cold access misses cleanly" Cache.miss
+    (Cache.access c ~addr:0x1000 ~write:false);
+  Alcotest.(check int) "same line hits" Cache.hit
+    (Cache.access c ~addr:0x1004 ~write:false);
   Alcotest.(check int) "1 hit" 1 (Cache.hits c);
   Alcotest.(check int) "1 miss" 1 (Cache.misses c)
 
@@ -101,28 +99,23 @@ let test_cache_dirty_victim () =
   ignore (Cache.access c ~addr:0x0000 ~write:true);
   ignore (Cache.access c ~addr:0x0080 ~write:false);
   (* both ways of set 0 full; 0x0000 dirty and LRU *)
-  (match Cache.access c ~addr:0x0100 ~write:false with
-   | Cache.Miss { victim = Some v } -> Alcotest.(check int) "victim addr" 0x0000 v
-   | Cache.Miss { victim = None } -> Alcotest.fail "expected dirty victim"
-   | Cache.Hit -> Alcotest.fail "expected miss")
+  Alcotest.(check int) "dirty victim addr" 0x0000
+    (Cache.access c ~addr:0x0100 ~write:false)
 
 let test_cache_clean_victim_silent () =
   let c = Cache.create { Cache.size_bytes = 256; ways = 2; line_bytes = 32 } in
   ignore (Cache.access c ~addr:0x0000 ~write:false);
   ignore (Cache.access c ~addr:0x0080 ~write:false);
-  (match Cache.access c ~addr:0x0100 ~write:false with
-   | Cache.Miss { victim = None } -> ()
-   | _ -> Alcotest.fail "clean victims drop silently")
+  Alcotest.(check int) "clean victims drop silently" Cache.miss
+    (Cache.access c ~addr:0x0100 ~write:false)
 
 let test_cache_write_hit_dirties () =
   let c = Cache.create { Cache.size_bytes = 256; ways = 2; line_bytes = 32 } in
   ignore (Cache.access c ~addr:0x0000 ~write:false);
   ignore (Cache.access c ~addr:0x0004 ~write:true);
   ignore (Cache.access c ~addr:0x0080 ~write:false);
-  (match Cache.access c ~addr:0x0100 ~write:false with
-   | Cache.Miss { victim = Some v } ->
-     Alcotest.(check int) "write-hit marked line dirty" 0x0000 v
-   | _ -> Alcotest.fail "expected dirty victim after write hit")
+  Alcotest.(check int) "write-hit marked line dirty" 0x0000
+    (Cache.access c ~addr:0x0100 ~write:false)
 
 let test_cache_flush () =
   let c = Cache.create Cache.tc16p_dcache in
@@ -144,8 +137,8 @@ let test_walker_flat () =
   let w = Program.Walker.create p in
   let rec drain acc =
     match Program.Walker.next w with
-    | Some i -> drain (i.Program.kind :: acc)
-    | None -> List.rev acc
+    | -1 -> List.rev acc
+    | i -> drain ((Program.instr p i).Program.kind :: acc)
   in
   Alcotest.(check int) "3 instrs" 3 (List.length (drain []));
   Alcotest.(check int) "executed" 3 (Program.Walker.executed w)
@@ -163,11 +156,11 @@ let test_walker_loops () =
   Alcotest.(check int) "dynamic length" 11 (Program.dynamic_length p);
   let w = Program.Walker.create p in
   let n = ref 0 in
-  while Program.Walker.next w <> None do incr n done;
+  while Program.Walker.next w >= 0 do incr n done;
   Alcotest.(check int) "walker count" 11 !n;
   Program.Walker.reset w;
   let n2 = ref 0 in
-  while Program.Walker.next w <> None do incr n2 done;
+  while Program.Walker.next w >= 0 do incr n2 done;
   Alcotest.(check int) "after reset" 11 !n2
 
 let test_walker_zero_loop () =
@@ -175,7 +168,7 @@ let test_walker_zero_loop () =
   Alcotest.(check int) "zero loop skipped" 1 (Program.dynamic_length p);
   let w = Program.Walker.create p in
   let n = ref 0 in
-  while Program.Walker.next w <> None do incr n done;
+  while Program.Walker.next w >= 0 do incr n done;
   Alcotest.(check int) "executes 1" 1 !n
 
 let test_program_validation () =
@@ -588,10 +581,8 @@ let prop_cache_matches_reference =
             let addr = slot * 32 in
             let got = Cache.access c ~addr ~write in
             let hit, victim_dirty = Ref_cache.access r addr ~write in
-            match got with
-            | Cache.Hit -> hit
-            | Cache.Miss { victim } ->
-              (not hit) && victim_dirty = (victim <> None))
+            if got = Cache.hit then hit
+            else (not hit) && victim_dirty = (got <> Cache.miss))
          accesses)
 
 let gen_items =
@@ -620,13 +611,13 @@ let prop_walker_visits_dynamic_length =
         let p = Program.make ~name:"rand" items in
         let w = Program.Walker.create p in
         let n = ref 0 in
-        while Program.Walker.next w <> None do incr n done;
+        while Program.Walker.next w >= 0 do incr n done;
         !n = Program.dynamic_length p
         &&
         ((* reset replays identically *)
           Program.Walker.reset w;
           let m = ref 0 in
-          while Program.Walker.next w <> None do incr m done;
+          while Program.Walker.next w >= 0 do incr m done;
           !m = !n))
 
 let prop_simulation_deterministic =
@@ -758,67 +749,92 @@ let prop_kernels_agree_on_cycle_limit =
        in
        go `Stepped = go `Event)
 
-(* --- run families ------------------------------------------------------------- *)
+(* --- SRI metric totals ------------------------------------------------------------ *)
 
-(* A family groups runs that share programs; members must nevertheless
-   reproduce the solo [run_result] bit for bit — cycles, counters,
-   ground-truth profiles, restart counts and traces — even though they
-   read decoded per-core scripts from a shared memo instead of running
-   the live cache/walker frontend. *)
-let prop_family_matches_solo =
-  QCheck.Test.make ~name:"family members reproduce solo runs bit for bit"
-    ~count:60 (QCheck.make gen_kernel_diff)
-    (fun (analysis, contenders, priorities, restart) ->
-       let member ~trace contenders =
-         ( (trace, contenders),
-           Machine.spec ~restart_contenders:restart ?priorities ~trace
-             ~analysis ~contenders () )
-       in
-       (* the full mix (traced), the analysis alone, and — when there are
-          contenders — the analysis against the first one: the analysis
-          program's script is read by every member, contender scripts by
-          some, and one member exercises the traced path *)
-       let members =
-         member ~trace:true contenders
-         :: member ~trace:false []
-         :: (match contenders with
-             | [] -> []
-             | c :: _ -> [ member ~trace:false [ c ] ])
-       in
-       let solos =
-         List.map
-           (fun ((trace, contenders), _) ->
-              Machine.run ~restart_contenders:restart ?priorities ~trace
-                ~analysis ~contenders ())
-           members
-       in
-       Machine.run_family (List.map snd members) = solos)
+(* The crossbar totals its per-target service cycles, wait cycles and
+   grants locally and flushes them to the process-wide metrics once per
+   run, also when the run raises. The flushed deltas must equal the
+   run's own trace totals; on the cycle-limit path (no result, no trace)
+   they must equal the unlimited run's trace totals over the grants made
+   by the limit — the same cycles both kernels process before raising. *)
+let sri_metrics =
+  List.map
+    (fun t ->
+       let name = Printf.sprintf "sri.%s.%s" (Target.to_string t) in
+       ( Obs.Metrics.gauge (name "busy_cycles"),
+         Obs.Metrics.gauge (name "wait_cycles"),
+         Obs.Metrics.counter (name "grants") ))
+    Target.all
 
-let prop_family_cycle_limit_matches_solo =
-  QCheck.Test.make ~name:"family agrees with solo on the cycle-limit boundary"
-    ~count:40
-    (QCheck.pair (QCheck.make gen_kernel_diff) (QCheck.int_range 0 400))
-    (fun ((analysis, contenders, priorities, restart), max_cycles) ->
-       (* duplicate members: the second simulates entirely from the memo
-          the first filled in, including on the raising path *)
-       let spec =
-         Machine.spec ~restart_contenders:restart ?priorities ~analysis
-           ~contenders ()
+let sri_totals () =
+  List.map
+    (fun (b, w, g) -> (Obs.Metrics.gauge_value b, Obs.Metrics.gauge_value w, Obs.Metrics.value g))
+    sri_metrics
+
+let trace_totals trace =
+  List.map
+    (fun t ->
+       let per = Trace.of_target trace t in
+       (Trace.busy_cycles trace t, Trace.total_wait per, Trace.count per))
+    Target.all
+
+let prop_sri_metrics_match_trace =
+  QCheck.Test.make ~name:"SRI metric deltas equal the run's trace totals" ~count:60
+    (QCheck.pair (QCheck.make gen_kernel_diff) (QCheck.option (QCheck.int_range 0 400)))
+    (fun ((analysis, contenders, priorities, restart), limit) ->
+       let run ?max_cycles kernel =
+         Machine.run ~kernel ?max_cycles ?priorities ~restart_contenders:restart
+           ~trace:true ~analysis ~contenders ()
        in
-       let fam =
-         match Machine.run_family ~max_cycles [ spec; spec ] with
-         | rs -> Ok rs
-         | exception Machine.Cycle_limit_exceeded c -> Error c
+       let deltas kernel =
+         let before = sri_totals () in
+         let outcome =
+           match run ?max_cycles:limit kernel with
+           | r -> Ok r
+           | exception Machine.Cycle_limit_exceeded c -> Error c
+         in
+         let d =
+           List.map2
+             (fun (b0, w0, g0) (b1, w1, g1) -> (b1 - b0, w1 - w0, g1 - g0))
+             before (sri_totals ())
+         in
+         (outcome, d)
        in
-       let solo =
-         match
-           Machine.run ~max_cycles ~restart_contenders:restart ?priorities
-             ~analysis ~contenders ()
-         with
-         | r -> Ok [ r; r ]
-         | exception Machine.Cycle_limit_exceeded c -> Error c
+       let expected = function
+         | Ok r -> trace_totals r.Machine.trace
+         | Error _ ->
+           let limit = Option.get limit in
+           trace_totals
+             (List.filter
+                (fun e -> e.Trace.grant_cycle <= limit)
+                (run `Event).Machine.trace)
        in
-       fam = solo)
+       let o_s, d_s = deltas `Stepped and o_e, d_e = deltas `Event in
+       o_s = o_e && d_s = d_e && d_s = expected o_s)
+
+(* --- allocation budget ----------------------------------------------------------- *)
+
+let test_event_kernel_allocation_budget () =
+  (* a Figure 4 co-run (Scenario 1, H-Load), event kernel, untraced:
+     advancing an event allocates nothing, so only per-run setup
+     (decoding, caches, results) is left to amortise. Minor words, not
+     time: the ratio is deterministic. *)
+  let variant = Workload.Control_loop.variant_of_scenario Scenario.scenario1 in
+  let app = Workload.Control_loop.app variant in
+  let con = Workload.Load_gen.make ~variant ~level:Workload.Load_gen.High () in
+  let events = Obs.Metrics.counter "tcsim.events" in
+  let e0 = Obs.Metrics.value events and w0 = Gc.minor_words () in
+  ignore
+    (Machine.run ~kernel:`Event ~restart_contenders:false
+       ~analysis:{ Machine.program = app; core = 0 }
+       ~contenders:[ { Machine.program = con; core = 1 } ]
+       ());
+  let words = Gc.minor_words () -. w0 in
+  let n = Obs.Metrics.value events - e0 in
+  Alcotest.(check bool) "events counted" true (n > 0);
+  let per_event = words /. float_of_int n in
+  if per_event > 4. then
+    Alcotest.failf "%.2f minor words per event (%d events), budget 4" per_event n
 
 let test_kernels_agree_on_workloads () =
   (* the paper's real workload shapes: warm caches, folded write-backs,
@@ -899,6 +915,8 @@ let () =
           Alcotest.test_case "cycle limit" `Quick test_cycle_limit;
           Alcotest.test_case "kernels agree on real workloads" `Quick
             test_kernels_agree_on_workloads;
+          Alcotest.test_case "event kernel allocation budget" `Quick
+            test_event_kernel_allocation_budget;
         ] );
       ( "priorities-traces",
         [
@@ -939,7 +957,6 @@ let () =
             prop_simulation_deterministic;
             prop_kernels_agree;
             prop_kernels_agree_on_cycle_limit;
-            prop_family_matches_solo;
-            prop_family_cycle_limit_matches_solo;
+            prop_sri_metrics_match_trace;
           ] );
     ]

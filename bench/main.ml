@@ -742,10 +742,12 @@ let merge_result entry =
 
 let perf_baseline_file = "bench/perf_baseline.json"
 
-(* CI perf smoke: fail when pivots per branch & bound node regress more
-   than 2x against the checked-in baseline. The family is deterministic
-   and pivoting is Bland-rule, so pivot counts are machine-independent —
-   unlike wall time, which stays advisory. *)
+(* CI perf smoke: fail when the solver family's node or pivot total
+   differs from the checked-in baseline, or pivots per branch & bound
+   node regress more than 2x. The family is deterministic and pivoting
+   is Bland-rule, so both totals are machine-independent — a change to
+   either means the search made different decisions — unlike wall time,
+   which stays advisory. *)
 let run_perf_check () =
   section "Solver perf smoke (vs bench/perf_baseline.json)";
   let b = solver_bench () in
@@ -763,6 +765,20 @@ let run_perf_check () =
     | Some (Obs.Json.Int i) -> float_of_int i
     | _ -> failwith "perf_baseline.json: missing pivots_per_node"
   in
+  List.iter
+    (fun (key, counter) ->
+       let expected =
+         match Obs.Json.member key baseline with
+         | Some (Obs.Json.Int i) -> i
+         | _ -> failwith ("perf_baseline.json: missing " ^ key)
+       in
+       let current = Option.value ~default:0 (List.assoc_opt counter b.deltas) in
+       Format.printf "%s: baseline %d, current %d@." key expected current;
+       if current <> expected then begin
+         Format.printf "FAIL: the solver family's %s changed@." key;
+         exit 1
+       end)
+    [ ("nodes", "ilp.bb.nodes"); ("pivots", "ilp.simplex.pivots") ];
   Format.printf "pivots/node: baseline %.2f, current %.2f@." baseline_ppn
     b.pivots_per_node;
   if b.pivots_per_node > 2. *. baseline_ppn then begin

@@ -30,8 +30,6 @@ let m_par_splits = Obs.Metrics.counter "bnb.parallel_splits"
 let m_subtrees = Obs.Metrics.counter ~timing:true "bnb.subtrees"
 let m_subtree_steals = Obs.Metrics.counter ~timing:true "bnb.subtree_steals"
 
-let branching_value x = (Q.floor x, Q.ceil x)
-
 (* How a solve may fan its subtree work out: [spawn] fires a helper
    thunk onto some executor (in practice [Runtime.Pool.spawn_raw]) and
    [degree] bounds how many helpers are worth spawning. The record is
@@ -86,21 +84,17 @@ module type MODE = sig
   (** What a fully explored node contributes to the caller: [unit] for
       the plain search, {!Cert.tree} for the certified one. *)
 
-  type info
-  (** Payload extracted from an optimal node's LP certificate before
-      branching decisions ([unit], or the dual multipliers). *)
+  val certified : bool
+  (** Whether the root solve must produce its certificate. *)
 
-  val eval :
-    model:Model.t ->
-    parent:E.state option ->
-    lb:Q.t option array ->
-    ub:Q.t option array ->
-    E.state option * Solution.t * Cert.lp_cert option
-
-  val info_of : Cert.lp_cert option -> info
   val presolve_leaf : node
-  val leaf_infeasible : Cert.lp_cert option -> node
-  val leaf_bounded : info -> node
+
+  val leaf_infeasible : (unit -> Cert.lp_cert option) -> node
+  (** An infeasible node, given how to read its certificate. *)
+
+  val leaf_bounded : E.state -> node
+  (** A pruned node or an integral leaf, given its optimal state. *)
+
   val branch_node : var:int -> pivot:Q.t -> down:node -> up:node -> node
   val presolve : bool
   val root : Presolve.outcome option
@@ -112,6 +106,13 @@ exception Uncertified
 module Search (M : MODE) = struct
   module E = M.E
 
+  (* A node's box: in full at the root and whenever the search
+     presolves (presolve reads and narrows the whole box), otherwise as
+     the one bound its branch tightened in the parent's state. *)
+  type box =
+    | Box of Q.t option array * Q.t option array
+    | Cut of int * bool * Q.t (* variable, lower?, new bound *)
+
   (* One unexplored node. [set] installs the node's contribution once
      its whole subtree is done; branch nodes install themselves when
      both children have (the join closures run only on the spawner or
@@ -119,8 +120,7 @@ module Search (M : MODE) = struct
   type frame = {
     depth : int;
     parent : E.state option;
-    lb : Q.t option array;
-    ub : Q.t option array;
+    box : box;
     set : M.node -> unit;
   }
 
@@ -145,7 +145,6 @@ module Search (M : MODE) = struct
 
   let run ~node_limit ~slack ~parallel ~frontier model =
     let nv = Model.num_vars model in
-    let int_vars = Model.integer_vars model in
     let dir, obj_expr = Model.objective model in
     (* When the objective takes integral values on every integer-feasible
        point, a node whose relaxation floors (resp. ceils) to the incumbent
@@ -177,124 +176,124 @@ module Search (M : MODE) = struct
       | Model.Maximize -> Q.compare a b > 0
       | Model.Minimize -> Q.compare a b < 0
     in
-    (* Rounding heuristic: flooring a relaxation point keeps every
-       non-negative <=-constraint satisfied, so it often yields a feasible
-       integer incumbent for free; we verify feasibility exactly before
-       accepting it. *)
-    let try_floor env values =
-      let floored =
-        Array.mapi
-          (fun v x -> if List.mem v int_vars then Q.floor x else x)
-          values
-      in
-      let lookup v = floored.(v) in
-      match Model.check_feasible model lookup with
-      | Error _ -> ()
-      | Ok _ -> (
-        let objective = Linexpr.eval obj_expr lookup in
-        match env.bound () with
-        | Some b when not (better objective b) -> ()
-        | _ -> env.record objective floored)
+    (* Rounding heuristic ({!Simplex.ENGINE.floor_incumbent}): the
+       floored relaxation point, when feasible, is a free incumbent. *)
+    let try_floor env st =
+      let beats o = match env.bound () with Some b -> better o b | None -> true in
+      match E.floor_incumbent st ~beats with
+      | Some (objective, point) -> env.record objective point
+      | None -> ()
     in
-    (* Branch on the fractional variable closest to half-integral,
-       preferring variables with a non-zero objective coefficient: ties in
-       the relaxation otherwise make the search wander over fractional
-       splits that cannot change the bound. *)
-    let in_objective v = not (Q.is_zero (Linexpr.coeff obj_expr v)) in
-    let most_fractional values =
-      let pick vars =
-        List.fold_left
-          (fun acc v ->
-             let f = Q.frac values.(v) in
-             if Q.is_zero f then acc
-             else begin
-               let dist = Q.abs (Q.sub f (Q.of_ints 1 2)) in
-               match acc with
-               | Some (_, bdist) when Q.compare bdist dist <= 0 -> acc
-               | _ -> Some (v, dist)
-             end)
-          None vars
-      in
-      match pick (List.filter in_objective int_vars) with
-      | Some _ as r -> r
-      | None -> pick int_vars
+    let warm parent =
+      Obs.Metrics.incr m_warm;
+      E.branch parent
     in
-    (* One node: count it, presolve (or use the memoised root outcome),
-       solve the relaxation warm from the parent basis, then settle as a
-       leaf or push both children ([push] up first so the down child pops
-       first — the recursive visit order). *)
+    (* The node's relaxation: [`Optimal (state, box)] carries the
+       presolved box its children narrow when the search presolves. *)
+    let relax frame =
+      match frame.box with
+      | Cut (v, lower, bound) ->
+        let st = warm (Option.get frame.parent) in
+        if E.tighten st v ~lower bound then `Optimal (st, None)
+        else `Infeasible (fun () -> E.certificate st)
+      | Box (lb, ub) -> (
+        match
+          (match M.root with
+           | Some outcome when frame.depth = 0 -> outcome
+           | _ ->
+             if M.presolve then Presolve.tighten model ~lb ~ub
+             else Presolve.Tightened (lb, ub))
+        with
+        | Presolve.Infeasible -> `Pruned
+        | Presolve.Tightened (lb, ub) -> (
+          let box = if M.presolve then Some (lb, ub) else None in
+          match frame.parent with
+          | Some parent ->
+            let st = warm parent in
+            if E.resolve st ~lb ~ub then `Optimal (st, box)
+            else `Infeasible (fun () -> E.certificate st)
+          | None -> (
+            let st, solution, cert =
+              if M.certified then E.root_certified model ~lb ~ub
+              else
+                let st, solution = E.root model ~lb ~ub in
+                (st, solution, None)
+            in
+            match (solution, st) with
+            | Solution.Optimal _, Some st -> `Optimal (st, box)
+            | Solution.Infeasible, _ -> `Infeasible (fun () -> cert)
+            | Solution.Unbounded, _ ->
+              (* An unbounded relaxation of a node means the ILP itself
+                 is unbounded or infeasible; surface it at the root. *)
+              raise (Unbounded_search cert)
+            | Solution.Optimal _, None -> assert false)))
+    in
+    (* One node: count it, relax it warm from the parent state, then
+       settle as a leaf or push both children ([push] up first so the
+       down child pops first — the recursive visit order). Everything
+       but recorded incumbents, branch pivots and certificates stays in
+       the engine's scalar. *)
     let process env ~push frame =
       env.count_node frame.depth;
-      match
-        (match M.root with
-         | Some outcome when frame.depth = 0 -> outcome
-         | _ ->
-           if M.presolve then Presolve.tighten model ~lb:frame.lb ~ub:frame.ub
-           else Presolve.Tightened (frame.lb, frame.ub))
-      with
-      | Presolve.Infeasible -> frame.set M.presolve_leaf
-      | Presolve.Tightened (lb, ub) -> (
-        (match frame.parent with
-         | Some _ -> Obs.Metrics.incr m_warm
-         | None -> ());
-        let state, solution, cert = M.eval ~model ~parent:frame.parent ~lb ~ub in
-        match solution with
-        | Solution.Infeasible -> frame.set (M.leaf_infeasible cert)
-        | Solution.Unbounded ->
-          (* An unbounded relaxation of a node means the ILP itself is
-             unbounded or infeasible; surface it at the root. *)
-          raise (Unbounded_search cert)
-        | Solution.Optimal { objective; values } ->
-          let info = M.info_of cert in
-          (match most_fractional values with
-           | Some _ -> try_floor env values
-           | None -> ());
-          let prune =
-            match env.bound () with
-            | Some b -> not (worth_exploring objective b)
-            | None -> false
-          in
-          if prune then begin
-            Obs.Metrics.incr m_pruned;
-            frame.set (M.leaf_bounded info)
-          end
-          else begin
-            match most_fractional values with
-            | None -> (
-              (match env.bound () with
-               | Some b when not (better objective b) -> ()
-               | _ -> env.record objective values);
-              frame.set (M.leaf_bounded info))
-            | Some (v, _) ->
-              let fl, cl = branching_value values.(v) in
-              let ub' = Array.copy ub in
-              ub'.(v) <-
-                (match ub.(v) with
-                 | Some u -> Some (Q.min u fl)
-                 | None -> Some fl);
-              let lb' = Array.copy lb in
-              lb'.(v) <-
-                (match lb.(v) with
-                 | Some l -> Some (Q.max l cl)
-                 | None -> Some cl);
-              let dhole = ref None and uhole = ref None in
-              let pending = ref 2 in
-              let join hole t =
-                hole := Some t;
-                decr pending;
-                if !pending = 0 then
-                  frame.set
-                    (M.branch_node ~var:v ~pivot:fl
-                       ~down:(Option.get !dhole)
-                       ~up:(Option.get !uhole))
-              in
-              push
-                { depth = frame.depth + 1; parent = state; lb = lb'; ub;
-                  set = join uhole };
-              push
-                { depth = frame.depth + 1; parent = state; lb; ub = ub';
-                  set = join dhole }
-          end)
+      match relax frame with
+      | `Pruned -> frame.set M.presolve_leaf
+      | `Infeasible cert -> frame.set (M.leaf_infeasible cert)
+      | `Optimal (st, box) ->
+        let objective = E.objective st in
+        let fractional = E.most_fractional st in
+        if Option.is_some fractional then try_floor env st;
+        let prune =
+          match env.bound () with
+          | Some b -> not (worth_exploring objective b)
+          | None -> false
+        in
+        if prune then begin
+          Obs.Metrics.incr m_pruned;
+          frame.set (M.leaf_bounded st)
+        end
+        else begin
+          match fractional with
+          | None ->
+            (match env.bound () with
+             | Some b when not (better objective b) -> ()
+             | _ -> env.record objective (E.values st));
+            frame.set (M.leaf_bounded st)
+          | Some (v, fl) ->
+            let cl = Q.add fl Q.one in
+            let down, up =
+              match box with
+              | None -> (Cut (v, false, fl), Cut (v, true, cl))
+              | Some (lb, ub) ->
+                let ub' = Array.copy ub in
+                ub'.(v) <-
+                  (match ub.(v) with
+                   | Some u -> Some (Q.min u fl)
+                   | None -> Some fl);
+                let lb' = Array.copy lb in
+                lb'.(v) <-
+                  (match lb.(v) with
+                   | Some l -> Some (Q.max l cl)
+                   | None -> Some cl);
+                (Box (lb, ub'), Box (lb', ub))
+            in
+            let dhole = ref None and uhole = ref None in
+            let pending = ref 2 in
+            let join hole t =
+              hole := Some t;
+              decr pending;
+              if !pending = 0 then
+                frame.set
+                  (M.branch_node ~var:v ~pivot:fl
+                     ~down:(Option.get !dhole)
+                     ~up:(Option.get !uhole))
+            in
+            push
+              { depth = frame.depth + 1; parent = Some st; box = up;
+                set = join uhole };
+            push
+              { depth = frame.depth + 1; parent = Some st; box = down;
+                set = join dhole }
+        end
     in
     let exhaust env stack =
       let rec go () =
@@ -474,7 +473,7 @@ module Search (M : MODE) = struct
          match
            let stack =
              ref
-               [ { depth = 0; parent = None; lb = lb0; ub = ub0;
+               [ { depth = 0; parent = None; box = Box (lb0, ub0);
                    set = (fun t -> root_node := Some t) } ]
            in
            let size = ref 1 in
@@ -520,21 +519,11 @@ let search engine ~node_limit ~slack ~presolve ~root ~parallel ~frontier model
     module E = En
 
     type node = unit
-    type info = unit
 
-    let eval ~model ~parent ~lb ~ub =
-      match parent with
-      | Some pst ->
-        let st = E.branch pst in
-        (Some st, E.reoptimize st ~lb ~ub, None)
-      | None ->
-        let st, sol = E.root model ~lb ~ub in
-        (st, sol, None)
-
-    let info_of _ = ()
+    let certified = false
     let presolve_leaf = ()
     let leaf_infeasible _ = ()
-    let leaf_bounded () = ()
+    let leaf_bounded _ = ()
     let branch_node ~var:_ ~pivot:_ ~down:_ ~up:_ = ()
     let presolve = presolve
     let root = root
@@ -543,44 +532,40 @@ let search engine ~node_limit ~slack ~presolve ~root ~parallel ~frontier model
   | `Finished (sol, ()) -> sol
   | `Unbounded _ -> Solution.Unbounded
 
-(* Certified search: identical branching discipline, but every node's
-   relaxation goes through the certified engine entry points and the
-   search keeps a log — a {!Cert.tree} — that an independent checker can
-   replay. Presolve (and the memoised root presolve) is disabled so that
+(* Certified search: identical branching discipline, but the root goes
+   through the certified engine entry point and the search keeps a log —
+   a {!Cert.tree} — that an independent checker can replay; leaves read
+   their certificates (duals or a Farkas proof) off the node's state.
+   Presolve (and any given root presolve outcome) is disabled so that
    every node box is derivable from the declared bounds plus the
-   branching path alone; that changes the node count but never the
-   answer, which only depends on the exhaustive search discipline. *)
+   branching path alone; that changes the node count — and so, under a node
+   limit, possibly the outcome — but not the answer of a finished
+   search, which only depends on the exhaustive search discipline. *)
 let search_certified engine ~node_limit ~slack ~parallel ~frontier model =
   let module En = (val engine : Simplex.ENGINE) in
   let module S = Search (struct
     module E = En
 
     type node = Cert.tree
-    type info = Q.t array (* optimal duals *)
 
-    let eval ~model ~parent ~lb ~ub =
-      match parent with
-      | Some pst ->
-        let st = E.branch pst in
-        let sol, cert = E.reoptimize_certified st ~lb ~ub in
-        (Some st, sol, cert)
-      | None -> E.root_certified model ~lb ~ub
-
-    let info_of = function
-      | Some (Cert.Optimal_cert { duals }) -> duals
-      | Some _ | None -> raise Uncertified
+    let certified = true
 
     (* unreachable: the certified search never presolves *)
     let presolve_leaf = Cert.Leaf_bounded { duals = [||] }
 
-    let leaf_infeasible = function
+    let leaf_infeasible cert =
+      match cert () with
       | Some c -> Cert.Leaf_infeasible c
       | None -> raise Uncertified
 
     (* Sound against the final answer because incumbents only ever
        improve: the dual bound beats at most incumbent + slack, and
        incumbent <= answer. Covers pruned nodes and integral leaves. *)
-    let leaf_bounded duals = Cert.Leaf_bounded { duals }
+    let leaf_bounded st =
+      match E.certificate st with
+      | Some (Cert.Optimal_cert { duals }) -> Cert.Leaf_bounded { duals }
+      | Some _ | None -> raise Uncertified
+
     let branch_node ~var ~pivot ~down ~up = Cert.Branch { var; pivot; down; up }
     let presolve = false
     let root = None

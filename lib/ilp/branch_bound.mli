@@ -33,17 +33,21 @@ val solve :
     branch-and-bound nodes.
 
     The search is warm-started: each child node copies its parent's
-    optimal basis and re-optimises with dual-simplex pivots
-    ({!Simplex.ENGINE.reoptimize}); it runs on the machine-word fast
-    tier first and deterministically restarts on the exact (then dense)
-    tier on overflow or stall, so the result never depends on which
-    tier finished.
+    optimal basis, tightens the one bound its branch moves and
+    re-optimises with dual-simplex pivots ({!Simplex.ENGINE.tighten};
+    a presolving search installs the whole presolved box instead). The
+    node's objective, branching variable and rounding heuristic are
+    evaluated in the engine's scalar ({!Simplex.ENGINE.objective} and
+    friends); values are converted to [Q] only for incumbents, branch
+    pivots and the returned solution. The search runs on the
+    machine-word fast tier first and deterministically restarts on the
+    exact (then dense) tier on overflow or stall in the simplex itself,
+    so the result never depends on which tier finished.
 
     [root], when given, is used as the root node's presolve outcome
-    instead of running {!Presolve.tighten} there — callers that solve
-    many structurally identical models (the solve cache) memoise it. It
-    must equal what the root tightening would produce; passing anything
-    else voids the optimality guarantee.
+    instead of running {!Presolve.tighten} there. It must equal what the
+    root tightening would produce; passing anything else voids the
+    optimality guarantee.
 
     [slack] (default 0 — exact) relaxes pruning: nodes that cannot improve
     on the incumbent by more than [slack] are abandoned, so the returned
@@ -54,7 +58,9 @@ val solve :
 
     [presolve] (default [true]) runs {!Presolve.tighten} at every node:
     exact bound propagation that skips simplex on detectably-infeasible
-    boxes.
+    boxes. It changes the node count, so under [node_limit] it can
+    change whether the search finishes; {!Runtime.Solve_cache} solves
+    with [~presolve:false], the discipline of {!solve_certified}.
 
     [parallel], when given, lets the search explore frontier subtrees on
     helper domains; [frontier] (default {!default_frontier}) is the cut
@@ -72,19 +78,18 @@ val solve_certified :
   Model.t -> Solution.t * Cert.t option
 (** {!solve}, additionally emitting a search-tree certificate that
     {!Audit.Checker} (an independent exact checker) can replay against
-    the model. The certified search disables presolve and the memoised
-    root so that node boxes are derivable from the declared bounds plus
-    the branching path; the answer is identical to
-    [solve ~node_limit ~slack] (presolve only skips work, it never
-    changes results — pinned by a qcheck property). The certificate is
-    [None] only when the search fell through to the dense tier, which
-    cannot certify.
+    the model. The certified search disables presolve so that node boxes
+    are derivable from the declared bounds plus the branching path; it
+    makes exactly the decisions of [solve ~node_limit ~slack
+    ~presolve:false] — same answer, node count and [Node_limit_exceeded]
+    behaviour. With presolve the node count differs, so under
+    [node_limit] one search may finish where the other gives up (on one
+    ILP-PTAC instance at [slack = 16]: 373 nodes presolved, 1 011
+    without). The certificate is [None] only when the search fell
+    through to the dense tier, which cannot certify.
     @raise Invalid_argument on negative [slack].
     @raise Node_limit_exceeded as {!solve}. *)
 
 val solve_lp_relaxation : Model.t -> Solution.t
 (** The continuous relaxation (same as {!Simplex.solve}); exposed for
     tightness comparisons. *)
-
-val branching_value : Q.t -> Q.t * Q.t
-(** [branching_value x] is [(floor x, ceil x)] — exposed for tests. *)

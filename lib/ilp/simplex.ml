@@ -64,6 +64,8 @@ module type SCALAR = sig
   val div : t -> t -> t
   val sign : t -> int
   val is_zero : t -> bool
+  val is_integer : t -> bool
+  val floor : t -> t
   val compare : t -> t -> int
 end
 
@@ -79,6 +81,142 @@ module Scalar_fast : SCALAR with type t = Fastq.t = struct
 end
 
 (* ------------------------------------------------------------------ *)
+(* Node bookkeeping in the engine's scalar                             *)
+(* ------------------------------------------------------------------ *)
+
+(* What branch & bound asks of every optimal node — its objective, the
+   variable to branch on, and whether the floored point is a feasible
+   incumbent — over the model's data converted once to the engine's
+   scalar, so a node costs no bignum arithmetic. [x v] reads variable
+   [v] of the point. Every answer is exact: the fast tier redoes a
+   question that overflows over [Q] ({!Book_q}) instead of restarting
+   the search, so the questions decide exactly what they decide over
+   [Q]. *)
+module Book (S : SCALAR) = struct
+  type row = {
+    vars : int array;
+    coefs : S.t array;
+    rhs : S.t; (* rhs minus the expression's constant *)
+    sense : Model.sense;
+  }
+
+  type t = {
+    obj : (int * S.t) array;
+    obj_const : S.t;
+    rows : row array;
+    vlb : S.t option array; (* declared bounds *)
+    vub : S.t option array;
+    integer : bool array;
+    preferred : int array; (* integer variables in the objective *)
+    ints : int array;
+  }
+
+  (* May raise [Fastq.Overflow] on the fast scalar. *)
+  let make model =
+    let info = Array.init (Model.num_vars model) (Model.var_info model) in
+    let _, obj = Model.objective model in
+    let ints = Array.of_list (Model.integer_vars model) in
+    let row (c : Model.constr) =
+      let terms = Array.of_list (Linexpr.terms c.expr) in
+      {
+        vars = Array.map fst terms;
+        coefs = Array.map (fun (_, q) -> S.of_q q) terms;
+        rhs = S.of_q (Q.sub c.rhs (Linexpr.constant c.expr));
+        sense = c.csense;
+      }
+    in
+    {
+      obj = Array.of_list (List.map (fun (v, c) -> (v, S.of_q c)) (Linexpr.terms obj));
+      obj_const = S.of_q (Linexpr.constant obj);
+      rows = Array.of_list (List.map row (Model.constraints model));
+      vlb = Array.map (fun (i : Model.var_info) -> Option.map S.of_q i.lb) info;
+      vub = Array.map (fun (i : Model.var_info) -> Option.map S.of_q i.ub) info;
+      integer = Array.map (fun (i : Model.var_info) -> i.integer) info;
+      preferred =
+        Array.of_list
+          (List.filter (fun v -> not (Q.is_zero (Linexpr.coeff obj v)))
+             (Array.to_list ints));
+      ints;
+    }
+
+  let objective b x =
+    S.to_q
+      (Array.fold_left (fun acc (v, c) -> S.add acc (S.mul c (x v))) b.obj_const b.obj)
+
+  let half = S.div S.one (S.add S.one S.one)
+
+  (* The fractional variable of [vars] closest to half-integral, the
+     first one on ties; -1 when all are integral. *)
+  let pick x vars =
+    let best = ref (-1) and bdist = ref S.zero in
+    Array.iter
+      (fun v ->
+         let xv = x v in
+         let f = S.sub xv (S.floor xv) in
+         if not (S.is_zero f) then begin
+           let d = S.sub f half in
+           let dist = if S.sign d < 0 then S.neg d else d in
+           if !best < 0 || S.compare dist !bdist < 0 then begin
+             best := v;
+             bdist := dist
+           end
+         end)
+      vars;
+    !best
+
+  (* Branching variable and the floor of its value. Variables with a
+     non-zero objective coefficient come first: ties in the relaxation
+     otherwise make the search wander over fractional splits that
+     cannot change the bound. *)
+  let most_fractional b x =
+    let v = pick x b.preferred in
+    let v = if v >= 0 then v else pick x b.ints in
+    if v < 0 then None else Some (v, S.to_q (S.floor (x v)))
+
+  (* [Model.check_feasible m x = Ok _], without building its messages. *)
+  let feasible b x =
+    let within v =
+      let xv = x v in
+      (match b.vlb.(v) with Some l -> S.compare xv l >= 0 | None -> true)
+      && (match b.vub.(v) with Some u -> S.compare xv u <= 0 | None -> true)
+      && ((not b.integer.(v)) || S.is_integer xv)
+    in
+    let holds r =
+      let lhs = ref S.zero in
+      Array.iteri (fun k v -> lhs := S.add !lhs (S.mul r.coefs.(k) (x v))) r.vars;
+      let c = S.compare !lhs r.rhs in
+      match r.sense with Model.Le -> c <= 0 | Model.Ge -> c >= 0 | Model.Eq -> c = 0
+    in
+    let rec all p i n = i >= n || (p i && all p (i + 1) n) in
+    all within 0 (Array.length b.integer)
+    && all (fun i -> holds b.rows.(i)) 0 (Array.length b.rows)
+
+  (* Rounding heuristic: flooring a relaxation point keeps every
+     non-negative <=-constraint satisfied, so it often yields a feasible
+     integer point for free. [Some (objective, point)] when it is
+     feasible and [beats] its objective. *)
+  let floor_incumbent b x ~beats =
+    let fl =
+      Array.init (Array.length b.integer) (fun v ->
+          if b.integer.(v) then S.floor (x v) else x v)
+    in
+    let x = Array.get fl in
+    if not (feasible b x) then None
+    else
+      let o = objective b x in
+      if beats o then Some (o, Array.map S.to_q fl) else None
+end
+
+module Book_q = Book (Scalar_q)
+module Book_fast = Book (Scalar_fast)
+
+let feasible model point =
+  let x = Array.get point in
+  match Book_fast.feasible (Book_fast.make model) (fun v -> Fastq.of_q (x v)) with
+  | ok -> ok
+  | exception Fastq.Overflow -> Book_q.feasible (Book_q.make model) x
+
+(* ------------------------------------------------------------------ *)
 (* The bounded-variable engine                                         *)
 (* ------------------------------------------------------------------ *)
 
@@ -90,7 +228,7 @@ module type ENGINE = sig
     state option * Solution.t
   (** Cold solve. A state is returned exactly when the solution is
       [Optimal]; it sits at the optimal basis and can seed
-      {!branch}/{!reoptimize}. *)
+      {!branch}/{!resolve}. *)
 
   val root_certified :
     Model.t -> lb:Q.t option array -> ub:Q.t option array ->
@@ -102,25 +240,40 @@ module type ENGINE = sig
   (** Deep copy: the warm-start tree discipline is copy-on-branch, so a
       parent's factorized tableau survives its first child's pivots. *)
 
-  val reoptimize :
-    state -> lb:Q.t option array -> ub:Q.t option array -> Solution.t
-  (** Dual-simplex re-solve after tightening bounds (in place). The new
+  val resolve : state -> lb:Q.t option array -> ub:Q.t option array -> bool
+  (** Dual-simplex re-solve after tightening bounds (in place): [true]
+      when the state sits at an optimal basis of the new box. The new
       box must be contained in the one the state was last solved with;
       this is exactly the branch & bound discipline. *)
 
-  val reoptimize_certified :
-    state -> lb:Q.t option array -> ub:Q.t option array ->
-    Solution.t * Cert.lp_cert option
-  (** {!reoptimize} plus the answer's certificate (a warm re-solve never
-      returns [Unbounded], so the certificate is an [Optimal_cert] or a
-      Farkas proof). *)
+  val tighten : state -> Model.var -> lower:bool -> Q.t -> bool
+  (** {!resolve} under the state's box with one bound of one variable
+      replaced by a tighter one. *)
+
+  val certificate : state -> Cert.lp_cert option
+  (** The last solve's certificate: optimal duals, or the Farkas proof
+      of an infeasible re-solve. *)
+
+  (** {2 Node bookkeeping on an optimal state} *)
+
+  val objective : state -> Q.t
+  val values : state -> Q.t array
+  val most_fractional : state -> (Model.var * Q.t) option
+  val floor_incumbent :
+    state -> beats:(Q.t -> bool) -> (Q.t * Q.t array) option
 end
 
 type vstatus = Basic | At_lower | At_upper | Free_zero
 
+(* How a state's last solve ended: what {!ENGINE.certificate} reads. *)
+type last = Solved | Empty_box of int | Dual_infeasible of int
+
 module Engine (S : SCALAR) : ENGINE = struct
+  module B = Book (S)
+
   type state = {
     model : Model.t;
+    book : B.t option; (* None when the model leaves the scalar's range *)
     n_struct : int;
     m : int;
     n_total : int;
@@ -135,6 +288,7 @@ module Engine (S : SCALAR) : ENGINE = struct
     lb : S.t option array; (* per column *)
     ub : S.t option array;
     mutable budget : int; (* anti-stall pivot budget *)
+    mutable last : last;
   }
 
   let copy st =
@@ -583,6 +737,8 @@ module Engine (S : SCALAR) : ENGINE = struct
         lb;
         ub;
         budget = 0;
+        last = Solved;
+        book = (try Some (B.make model) with Fastq.Overflow -> None);
       }
     in
     (* beta from the all-slack basis *)
@@ -654,20 +810,92 @@ module Engine (S : SCALAR) : ENGINE = struct
     let st, sol, _ = root_certified model ~lb ~ub in
     (st, sol)
 
-  let reoptimize_certified st ~lb ~ub =
+  (* The dual loop after a bound change, recording how it ended. *)
+  let settle st =
+    st.budget <- budget_for st;
+    match dual_loop st with
+    | `Infeasible r ->
+      st.last <- Dual_infeasible r;
+      false
+    | `Feasible ->
+      st.last <- Solved;
+      true
+
+  let resolve st ~lb ~ub =
     Obs.Metrics.incr m_solves;
     match empty_var ~lb ~ub with
-    | Some v -> (Solution.Infeasible, Some (Cert.Farkas_box v))
+    | Some v ->
+      st.last <- Empty_box v;
+      false
     | None ->
-      st.budget <- budget_for st;
       set_bounds st ~lb ~ub;
-      (match dual_loop st with
-       | `Infeasible r ->
-         (Solution.Infeasible, Some (Cert.Farkas_ray (farkas_of st r)))
-       | `Feasible ->
-         (extract st, Some (Cert.Optimal_cert { duals = duals_of st })))
+      settle st
 
-  let reoptimize st ~lb ~ub = fst (reoptimize_certified st ~lb ~ub)
+  (* Exact even where the fast scalar's cross products overflow, so the
+     emptiness test decides what [empty_var] decides over [Q]. *)
+  let compare_exact a b =
+    try S.compare a b with Fastq.Overflow -> Q.compare (S.to_q a) (S.to_q b)
+
+  (* Only [v]'s bound moves, so only [v]'s anchor can: [set_bounds]
+     without re-reading the rest of the box, and the basic values move
+     by [v]'s column times its shift. *)
+  let tighten st v ~lower bound =
+    Obs.Metrics.incr m_solves;
+    let b = S.of_q bound in
+    if lower then st.lb.(v) <- Some b else st.ub.(v) <- Some b;
+    match (st.lb.(v), st.ub.(v)) with
+    | Some l, Some u when compare_exact l u > 0 ->
+      st.last <- Empty_box v;
+      false
+    | _ ->
+      if st.pos.(v) < 0 then begin
+        let x =
+          match (st.status.(v), st.lb.(v), st.ub.(v)) with
+          | At_lower, Some l, _ -> l
+          | At_upper, _, Some u -> u
+          | Free_zero, Some l, _ ->
+            st.status.(v) <- At_lower;
+            l
+          | Free_zero, None, Some u ->
+            st.status.(v) <- At_upper;
+            u
+          | _ -> assert false
+        in
+        let shift = S.sub x st.xval.(v) in
+        st.xval.(v) <- x;
+        if not (S.is_zero shift) then
+          for i = 0 to st.m - 1 do
+            if not (S.is_zero st.tab.(i).(v)) then
+              st.beta.(i) <- S.sub st.beta.(i) (S.mul st.tab.(i).(v) shift)
+          done
+      end;
+      settle st
+
+  let certificate st =
+    Some
+      (match st.last with
+       | Solved -> Cert.Optimal_cert { duals = duals_of st }
+       | Empty_box v -> Cert.Farkas_box v
+       | Dual_infeasible r -> Cert.Farkas_ray (farkas_of st r))
+
+  let value st v = if st.pos.(v) >= 0 then st.beta.(st.pos.(v)) else st.xval.(v)
+  let values = values_of
+
+  (* A question in the engine's scalar, redone over [Q] on overflow. *)
+  let ask st fast slow =
+    let fallback () =
+      let q = values_of st in
+      slow (Book_q.make st.model) (Array.get q)
+    in
+    match st.book with
+    | None -> fallback ()
+    | Some b -> ( try fast b (value st) with Fastq.Overflow -> fallback ())
+
+  let objective st = ask st B.objective Book_q.objective
+  let most_fractional st = ask st B.most_fractional Book_q.most_fractional
+
+  let floor_incumbent st ~beats =
+    ask st (B.floor_incumbent ~beats) (Book_q.floor_incumbent ~beats)
 end
 
 module Fast_engine = Engine (Scalar_fast)
@@ -987,13 +1215,27 @@ let dense_solve_with_bounds model ~lb ~ub =
     end
   end
 
-(* The dense path behind the warm-start interface: every node is a cold
-   solve (no reusable state), which is exactly the pre-warm-start
-   behaviour branch & bound falls back to. *)
+(* The dense path behind the warm-start interface: the state is just
+   the box and the last optimal point, so every re-solve is a cold solve
+   under the child's box — exactly the pre-warm-start behaviour branch
+   & bound falls back to. *)
 module Dense_engine : ENGINE = struct
-  type state = unit
+  type state = {
+    model : Model.t;
+    book : Book_q.t;
+    lb : Q.t option array;
+    ub : Q.t option array;
+    mutable point : Q.t array;
+  }
 
-  let root model ~lb ~ub = (None, dense_solve_with_bounds model ~lb ~ub)
+  let root model ~lb ~ub =
+    match dense_solve_with_bounds model ~lb ~ub with
+    | Solution.Optimal { values; _ } as sol ->
+      ( Some
+          { model; book = Book_q.make model; lb = Array.copy lb;
+            ub = Array.copy ub; point = values },
+        sol )
+    | sol -> (None, sol)
 
   let root_certified model ~lb ~ub =
     (* Variable substitution destroys the dual frame, so the dense tier
@@ -1001,9 +1243,31 @@ module Dense_engine : ENGINE = struct
     let st, sol = root model ~lb ~ub in
     (st, sol, None)
 
-  let branch () = ()
-  let reoptimize () ~lb:_ ~ub:_ = assert false
-  let reoptimize_certified () ~lb:_ ~ub:_ = assert false
+  let branch st = { st with lb = Array.copy st.lb; ub = Array.copy st.ub }
+
+  let solve st =
+    match dense_solve_with_bounds st.model ~lb:st.lb ~ub:st.ub with
+    | Solution.Optimal { values; _ } ->
+      st.point <- values;
+      true
+    | Solution.Infeasible | Solution.Unbounded -> false
+
+  let resolve st ~lb ~ub =
+    Array.blit lb 0 st.lb 0 (Array.length lb);
+    Array.blit ub 0 st.ub 0 (Array.length ub);
+    solve st
+
+  let tighten st v ~lower bound =
+    if lower then st.lb.(v) <- Some bound else st.ub.(v) <- Some bound;
+    solve st
+
+  let certificate _ = None
+  let values st = st.point
+  let objective st = Book_q.objective st.book (Array.get st.point)
+  let most_fractional st = Book_q.most_fractional st.book (Array.get st.point)
+
+  let floor_incumbent st ~beats =
+    Book_q.floor_incumbent st.book (Array.get st.point) ~beats
 end
 
 let fast : (module ENGINE) = (module Fast_engine)

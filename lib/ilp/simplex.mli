@@ -36,7 +36,7 @@ module type ENGINE = sig
   (** Cold solve under the given box (arrays of length
       [Model.num_vars]; they override the model's declared bounds). A
       state is returned exactly when the solution is [Optimal]; it sits
-      at the optimal basis and seeds {!branch}/{!reoptimize}.
+      at the optimal basis and seeds {!branch}/{!resolve}.
       @raise Invalid_argument on a bound-array length mismatch. *)
 
   val root_certified :
@@ -50,21 +50,57 @@ module type ENGINE = sig
       children pivot on their own copy, so the parent state can seed
       every sibling. *)
 
-  val reoptimize :
-    state -> lb:Q.t option array -> ub:Q.t option array -> Solution.t
-  (** Dual-simplex re-solve (in place) after tightening bounds. The new
-      box must be contained in the box the state was last solved under —
-      exactly what branching and presolve produce. After a non-[Optimal]
-      result the state must not be reused. May raise
+  val resolve : state -> lb:Q.t option array -> ub:Q.t option array -> bool
+  (** Dual-simplex re-solve (in place) under a new box, which must be
+      contained in the box the state was last solved under — exactly
+      what branching and presolve produce: [true] when the state now
+      sits at an optimal basis, [false] when the box is infeasible (warm
+      re-solves never end [Unbounded]). After [false] the state must
+      only be asked for its {!certificate}. May raise
       {!Numeric.Fastq.Overflow} on the fast tier and {!Stalled} on any
       tier. *)
 
-  val reoptimize_certified :
-    state -> lb:Q.t option array -> ub:Q.t option array ->
-    Solution.t * Cert.lp_cert option
-  (** {!reoptimize} plus the certificate. Warm re-solves only ever end
-      [Optimal] or [Infeasible], so the certificate is an
-      [Optimal_cert], a [Farkas_box] or a [Farkas_ray]. *)
+  val tighten : state -> Model.var -> lower:bool -> Q.t -> bool
+  (** [tighten st v ~lower b] is {!resolve} under the state's own box
+      with [v]'s lower (or upper) bound replaced by [b], which must be at
+      least as tight as the current one. Only [v]'s bound is converted
+      and only [v]'s column re-anchored, instead of re-installing the
+      whole box — the branch & bound step. *)
+
+  val certificate : state -> Cert.lp_cert option
+  (** The certificate of the state's last solve, read out on demand: an
+      [Optimal_cert] after an optimal one, a [Farkas_box] or
+      [Farkas_ray] after an infeasible {!resolve}/{!tighten}. The dense
+      tier returns [None]. *)
+
+  (** {2 Node bookkeeping}
+
+      Questions branch & bound asks of an optimal state, answered in the
+      engine's own scalar; only the answers are converted to [Q]. They
+      are exact on every tier: where the fast tier's arithmetic would
+      overflow, the question is redone over [Q] (the search does not
+      restart), so the answers equal those computed over [Q] from
+      {!values}. *)
+
+  val objective : state -> Q.t
+  (** The objective at the state's point. *)
+
+  val values : state -> Q.t array
+  (** The state's point, one value per model variable. *)
+
+  val most_fractional : state -> (Model.var * Q.t) option
+  (** The integer variable to branch on and the floor of its value:
+      among integer variables with a non-zero objective coefficient (all
+      integer variables when none is fractional), the one whose
+      fractional part is closest to 1/2, the lowest index on ties.
+      [None] when the point is integral. *)
+
+  val floor_incumbent :
+    state -> beats:(Q.t -> bool) -> (Q.t * Q.t array) option
+  (** Floors the point's integer variables; [Some (objective, point)]
+      when the floored point satisfies the model's declared bounds,
+      integrality and constraints ({!feasible}) and [beats] holds of
+      its objective. *)
 end
 
 module Fast_engine : ENGINE
@@ -80,9 +116,15 @@ val exact : (module ENGINE)
 
 val dense : (module ENGINE)
 (** The original dense two-phase primal simplex behind the same
-    interface. [root] never returns a state, so every node is a cold
-    solve — the pre-warm-start behaviour, kept as the fallback of last
-    resort. *)
+    interface. Its state is only the box and the last optimal point, so
+    every re-solve is a cold solve under the new box — the
+    pre-warm-start behaviour, kept as the fallback of last resort. *)
+
+val feasible : Model.t -> Q.t array -> bool
+(** [feasible m x] holds exactly when [Model.check_feasible m] accepts
+    [x] (one value per variable), decided in machine-word rationals and
+    redone over [Q] when those overflow, without building messages. The
+    check {!ENGINE.floor_incumbent} applies. *)
 
 val dense_solve_with_bounds :
   Model.t -> lb:Q.t option array -> ub:Q.t option array -> Solution.t

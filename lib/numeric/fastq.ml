@@ -54,6 +54,15 @@ let num x = x.n
 let den x = x.d
 let sign x = compare x.n 0
 let is_zero x = x.n = 0
+let is_integer x = x.d = 1
+
+(* division truncates towards zero, so a negative non-integer is one
+   below its quotient; |n / d| < max_int / 2 when d >= 2 *)
+let floor x =
+  if x.d = 1 then x
+  else
+    let q = x.n / x.d in
+    { n = (if x.n < 0 then q - 1 else q); d = 1 }
 let equal x y = x.n = y.n && x.d = y.d
 
 let compare x y =

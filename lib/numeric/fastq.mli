@@ -37,7 +37,11 @@ val num : t -> int
 val den : t -> int
 val sign : t -> int
 val is_zero : t -> bool
+val is_integer : t -> bool
 val equal : t -> t -> bool
+
+val floor : t -> t
+(** Largest integer not above the value; never overflows. *)
 
 val compare : t -> t -> int
 (** @raise Overflow when the cross products exceed native range. *)

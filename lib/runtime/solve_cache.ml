@@ -75,7 +75,9 @@ let canonical_key ~tag canon =
    Rationals are rendered via {!Q.to_string} — exact, so a reloaded
    solution is bitwise the solution a fresh solve would produce. *)
 
-let key_format_version = 1
+(* v2: the ILP tag lost its [presolve=] field, since the plain solves
+   stopped presolving. *)
+let key_format_version = 2
 
 (* v1: certificate-less entry — emitted bitwise-identically to the
    pre-audit format, so existing disk caches stay valid. v2: the same
@@ -313,7 +315,8 @@ let audit_failures () =
   Mutex.unlock lock;
   List.sort compare l
 
-let solve_canon ~tag ?slack ~solve ~solve_certified model =
+(* [solve] and [solve_certified] run on the canonical representative. *)
+let solve_cached ~tag ?slack ~solve ~solve_certified model =
   let canon = Ilp.Canonical.of_model model in
   let raw = key ~tag model in
   let k = canonical_key ~tag canon in
@@ -328,37 +331,27 @@ let solve_canon ~tag ?slack ~solve ~solve_certified model =
     let auditing = audit_enabled () in
     let cm = Ilp.Canonical.model canon in
     let compute () =
-      if auditing then begin
-        match solve_certified canon with
-        | s, cert ->
+      match
+        if auditing then begin
+          let s, cert = solve_certified cm in
           (match Audit.Checker.audit ?slack cm s cert with
            | Some (Audit.Checker.Failed reason) -> record_audit_failure k reason
            | Some Audit.Checker.Verified | None -> ());
-          settle k (Some (Solved s));
-          store_save ?cert k (Solved s);
-          replay canon (Solved s)
-        | exception Ilp.Branch_bound.Node_limit_exceeded ->
-          settle k (Some Node_limit);
-          store_save k Node_limit;
-          raise Ilp.Branch_bound.Node_limit_exceeded
-        | exception e ->
-          settle k None;
-          raise e
-      end
-      else begin
-        match solve canon with
-        | s ->
-          settle k (Some (Solved s));
-          store_save k (Solved s);
-          replay canon (Solved s)
-        | exception Ilp.Branch_bound.Node_limit_exceeded ->
-          settle k (Some Node_limit);
-          store_save k Node_limit;
-          raise Ilp.Branch_bound.Node_limit_exceeded
-        | exception e ->
-          settle k None;
-          raise e
-      end
+          (s, cert)
+        end
+        else (solve cm, None)
+      with
+      | s, cert ->
+        settle k (Some (Solved s));
+        store_save ?cert k (Solved s);
+        replay canon (Solved s)
+      | exception Ilp.Branch_bound.Node_limit_exceeded ->
+        settle k (Some Node_limit);
+        store_save k Node_limit;
+        raise Ilp.Branch_bound.Node_limit_exceeded
+      | exception e ->
+        settle k None;
+        raise e
     in
     (match store_load k with
      | None -> compute ()
@@ -389,61 +382,6 @@ let solve_canon ~tag ?slack ~solve ~solve_certified model =
                store_reject k;
                compute ())
        end)
-
-let solve_cached ~tag ~solve ~solve_certified model =
-  solve_canon ~tag
-    ~solve:(fun canon -> solve (Ilp.Canonical.model canon))
-    ~solve_certified:(fun canon -> solve_certified (Ilp.Canonical.model canon))
-    model
-
-(* --- root-presolve memo ------------------------------------------------ *)
-
-(* The root box of a branch & bound search depends only on the model, so
-   structurally identical solves with different solver options (distinct
-   cache tags) share it. Single-flight for the same reason as the main
-   table: it keeps ilp.presolve.* counters jobs-invariant. *)
-type presolve_entry = P_done of Ilp.Presolve.outcome | P_pending
-
-let presolve_table : (string, presolve_entry) Hashtbl.t = Hashtbl.create 64
-
-let root_presolve ~structure model =
-  let k = structure in
-  Mutex.lock lock;
-  let rec loop () =
-    match Hashtbl.find_opt presolve_table k with
-    | Some (P_done o) ->
-      Mutex.unlock lock;
-      o
-    | Some P_pending ->
-      Condition.wait settled lock;
-      loop ()
-    | None ->
-      Hashtbl.replace presolve_table k P_pending;
-      Mutex.unlock lock;
-      let nv = Ilp.Model.num_vars model in
-      let lb =
-        Array.init nv (fun v -> (Ilp.Model.var_info model v).Ilp.Model.lb)
-      in
-      let ub =
-        Array.init nv (fun v -> (Ilp.Model.var_info model v).Ilp.Model.ub)
-      in
-      let o =
-        match Ilp.Presolve.tighten model ~lb ~ub with
-        | o -> o
-        | exception e ->
-          Mutex.lock lock;
-          Hashtbl.remove presolve_table k;
-          Condition.broadcast settled;
-          Mutex.unlock lock;
-          raise e
-      in
-      Mutex.lock lock;
-      Hashtbl.replace presolve_table k (P_done o);
-      Condition.broadcast settled;
-      Mutex.unlock lock;
-      o
-  in
-  loop ()
 
 (* --- public solvers ---------------------------------------------------- *)
 
@@ -480,33 +418,22 @@ let bb_parallel = function
         { Ilp.Branch_bound.degree = Pool.jobs p; spawn = Pool.spawn_raw p }
     | _ -> None)
 
-let solve_ilp ?(node_limit = 200_000) ?(slack = Q.zero) ?(presolve = true)
-    ?(parallel = Ambient) model =
-  let tag =
-    Printf.sprintf "ilp|nodes=%d|slack=%s|presolve=%b" node_limit
-      (Q.to_string slack) presolve
-  in
-  (* resolved per fresh solve, inside the single-flight reservation —
-     waiters and hits never look at it *)
-  solve_canon ~tag ~slack
-    ~solve:(fun canon ->
-       let cm = Ilp.Canonical.model canon in
-       let root =
-         if presolve then
-           Some
-             (root_presolve ~structure:(Ilp.Canonical.structure canon) cm)
-         else None
-       in
-       Ilp.Branch_bound.solve ~node_limit ~slack ~presolve ?root
-         ?parallel:(bb_parallel parallel) cm)
-      (* the certified search always runs presolve-less (its node boxes
-         must derive from the branching path alone); the answer is the
-         same either way — presolve only skips work — so the entry is
-         still valid for this tag *)
-    ~solve_certified:(fun canon ->
+(* Fresh plain solves run the presolve-free search — the discipline the
+   certified search of audit mode must use (its node boxes derive from
+   the branching path alone) — so both modes search the same tree and
+   settle the same outcome, node-limit hits included, under one key. *)
+let solve_ilp ?(node_limit = 200_000) ?(slack = Q.zero) ?(parallel = Ambient)
+    model =
+  let tag = Printf.sprintf "ilp|nodes=%d|slack=%s" node_limit (Q.to_string slack) in
+  (* [bb_parallel] is resolved per fresh solve, inside the single-flight
+     reservation — waiters and hits never look at it *)
+  solve_cached ~tag ~slack
+    ~solve:(fun m ->
+        Ilp.Branch_bound.solve ~node_limit ~slack ~presolve:false
+          ?parallel:(bb_parallel parallel) m)
+    ~solve_certified:(fun m ->
         Ilp.Branch_bound.solve_certified ~node_limit ~slack
-          ?parallel:(bb_parallel parallel)
-          (Ilp.Canonical.model canon))
+          ?parallel:(bb_parallel parallel) m)
     model
 
 let stats () =
@@ -528,7 +455,6 @@ let reset_stats () =
 let clear () =
   Mutex.lock lock;
   Hashtbl.reset table;
-  Hashtbl.reset presolve_table;
   Hashtbl.reset audit_failures_tbl;
   (* waiters on a cleared Pending key re-check, find nothing, and become
      fresh misses — acceptable for a bench-only operation *)

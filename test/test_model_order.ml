@@ -110,6 +110,77 @@ let test_idle_contender_collapses () =
     Alcotest.(check bool) "ftc positive" true (ftc > 0)
   | _, None, _ -> Alcotest.fail "unexpected ILP infeasibility"
 
+(* --- pinned search decisions ------------------------------------------------- *)
+
+(* A fixed seeded set of ILP-PTAC models (counters synthesised as in
+   [counters_of]) solved by the certified search (mip_slack = 0) and by
+   the plain presolve-free search (mip_slack = 16), both under the 2 000
+   node limit. Answers, node counts and pivot counts are pinned: they are
+   functions of the search's decisions alone, so any change to how a
+   node is evaluated (objective, branching variable, rounding incumbent,
+   bound tightening) that changes a decision shows here. *)
+let pinned_models () =
+  let rng = Random.State.make [| 42 |] in
+  let profile scenario max_count =
+    Access_profile.make
+      (List.map
+         (fun pr -> (pr, Random.State.int rng (max_count + 1)))
+         (Scenario.allowed_pairs scenario))
+  in
+  List.concat_map
+    (fun (scenario, n, max_count) ->
+       List.init n (fun _ ->
+           let pa = profile scenario max_count in
+           let pb = profile scenario max_count in
+           fst
+             (Contention.Ilp_ptac.build_model ~options:exact_options ~latency:lat
+                ~scenario ~a:(counters_of pa) ~b:(counters_of pb) ())))
+    [ (Scenario.scenario1, 2, 12); (Scenario.scenario2, 5, 6); (Scenario.unrestricted, 2, 6) ]
+
+let counter name =
+  Option.value ~default:0 (List.assoc_opt name (Obs.Metrics.deterministic_snapshot ()))
+
+(* "objective/nodes/pivots" of one search *)
+let decisions solve m =
+  let n0 = counter "ilp.bb.nodes" and p0 = counter "ilp.simplex.pivots" in
+  let answer =
+    match solve m with
+    | Ilp.Solution.Optimal { objective; _ } -> Numeric.Q.to_string objective
+    | Ilp.Solution.Infeasible -> "infeasible"
+    | Ilp.Solution.Unbounded -> "unbounded"
+    | exception Ilp.Branch_bound.Node_limit_exceeded -> "node-limit"
+  in
+  Printf.sprintf "%s/%d/%d" answer
+    (counter "ilp.bb.nodes" - n0)
+    (counter "ilp.simplex.pivots" - p0)
+
+(* recorded from the search that converted every node to [Q] *)
+let pinned_certified =
+  [ "192/1/11"; "193/1/14"; "node-limit/2001/2129"; "node-limit/2001/2173";
+    "118/11/28"; "112/1105/1173"; "177/49/57"; "240/1121/1386";
+    "node-limit/2001/2249" ]
+
+let pinned_plain =
+  [ "192/1/11"; "193/1/14"; "224/1/18"; "240/3/16"; "112/3/19"; "112/1/18";
+    "176/3/19"; "240/231/278"; "node-limit/2001/2917" ]
+
+let test_pinned_decisions () =
+  let models = pinned_models () in
+  let certified =
+    List.map
+      (decisions (fun m -> fst (Ilp.Branch_bound.solve_certified ~node_limit:2000 m)))
+      models
+  in
+  let plain =
+    List.map
+      (decisions
+         (Ilp.Branch_bound.solve ~node_limit:2000 ~slack:(Numeric.Q.of_int 16)
+            ~presolve:false))
+      models
+  in
+  Alcotest.(check (list string)) "certified search" pinned_certified certified;
+  Alcotest.(check (list string)) "plain presolve-free search" pinned_plain plain
+
 let () =
   Alcotest.run "model-order"
     [
@@ -117,6 +188,7 @@ let () =
         [
           Alcotest.test_case "hand instance" `Quick test_hand_instance;
           Alcotest.test_case "idle contender" `Quick test_idle_contender_collapses;
+          Alcotest.test_case "pinned search decisions" `Quick test_pinned_decisions;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest

@@ -576,7 +576,7 @@ let test_cache_replays_node_limit () =
   in
   Runtime.Solve_cache.clear ();
   Runtime.Solve_cache.reset_stats ();
-  let solve () = Runtime.Solve_cache.solve_ilp ~node_limit:1 ~presolve:false (hard ()) in
+  let solve () = Runtime.Solve_cache.solve_ilp ~node_limit:1 (hard ()) in
   (match solve () with
    | _ -> Alcotest.fail "expected Node_limit_exceeded"
    | exception Ilp.Branch_bound.Node_limit_exceeded -> ());
@@ -586,6 +586,52 @@ let test_cache_replays_node_limit () =
   let { Runtime.Solve_cache.hits; misses; _ } = Runtime.Solve_cache.stats () in
   Alcotest.(check int) "solved once" 1 misses;
   Alcotest.(check int) "replayed once" 1 hits
+
+let test_cache_modes_share_node_limit_outcome () =
+  (* max x/2 s.t. 3x <= 10: root presolve tightens x <= 3 and the search
+     ends at the root, while the presolve-free search needs three nodes
+     (the fractional coefficient defeats integral-bound pruning). Under a
+     one-node budget the two disciplines would settle different
+     outcomes; plain and audit-mode solves share a key, so both must run
+     the presolve-free search the certificate needs. *)
+  let model () =
+    let m = Ilp.Model.create () in
+    let x = Ilp.Model.add_var m ~integer:true "x" in
+    Ilp.Model.add_constraint m (Ilp.Linexpr.of_terms [ (q 3, x) ]) Ilp.Model.Le (q 10);
+    Ilp.Model.set_objective m Ilp.Model.Maximize
+      (Ilp.Linexpr.of_terms [ (Q.of_ints 1 2, x) ]);
+    m
+  in
+  (match Ilp.Branch_bound.solve ~node_limit:1 (model ()) with
+   | Ilp.Solution.Optimal _ -> ()
+   | _ -> Alcotest.fail "presolved search should finish at the root");
+  (match Ilp.Branch_bound.solve ~node_limit:1 ~presolve:false (model ()) with
+   | _ -> Alcotest.fail "presolve-free search should exceed one node"
+   | exception Ilp.Branch_bound.Node_limit_exceeded -> ());
+  let settle ~audit =
+    Runtime.Solve_cache.set_audit audit;
+    Fun.protect
+      ~finally:(fun () -> Runtime.Solve_cache.set_audit false)
+      (fun () ->
+         match Runtime.Solve_cache.solve_ilp ~node_limit:1 (model ()) with
+         | Ilp.Solution.Optimal { objective; _ } -> Q.to_string objective
+         | Ilp.Solution.Infeasible | Ilp.Solution.Unbounded -> "no optimum"
+         | exception Ilp.Branch_bound.Node_limit_exceeded -> "node-limit")
+  in
+  Runtime.Solve_cache.clear ();
+  let plain = settle ~audit:false in
+  Runtime.Solve_cache.clear ();
+  let audited = settle ~audit:true in
+  Alcotest.(check string) "fresh plain and audited solves agree" audited plain;
+  Alcotest.(check string) "both hit the node limit" "node-limit" plain;
+  (* one key: the audited request replays the plain one's outcome *)
+  Runtime.Solve_cache.clear ();
+  ignore (settle ~audit:false);
+  Alcotest.(check string) "audited replay" "node-limit" (settle ~audit:true);
+  let { Runtime.Solve_cache.hits; misses; _ } = Runtime.Solve_cache.stats () in
+  Alcotest.(check int) "solved once" 1 misses;
+  Alcotest.(check int) "replayed once" 1 hits;
+  Runtime.Solve_cache.clear ()
 
 let test_cache_single_flight () =
   (* eight concurrent requests for one key: the first installs the entry
@@ -932,6 +978,8 @@ let () =
           Alcotest.test_case "structural twins hit canonically" `Quick
             test_cache_canonical_twin_hits;
           Alcotest.test_case "node-limit outcome replayed" `Quick test_cache_replays_node_limit;
+          Alcotest.test_case "plain and audit share node-limit outcomes" `Quick
+            test_cache_modes_share_node_limit_outcome;
           Alcotest.test_case "single flight under concurrency" `Quick
             test_cache_single_flight;
         ] );

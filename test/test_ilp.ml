@@ -1087,7 +1087,7 @@ let () =
             prop_warm_fast_matches_cold;
             prop_fast_tier_exact_or_falls_back;
           ] );
-      ( "node-bookkeeping",
+      ( "bookkeeping",
         [
           Alcotest.test_case "overflowing data decided exactly" `Quick
             test_scalar_feasible_overflow;

@@ -623,7 +623,7 @@ let solve_certified ?(node_limit = 200_000) ?(slack = Q.zero) ?parallel
       | result -> result
       | exception (Simplex.Stalled | Uncertified) ->
         Obs.Metrics.incr m_restarts;
-        ( search Simplex.dense ~node_limit ~slack ~presolve:true ~root:None
+        ( search Simplex.dense ~node_limit ~slack ~presolve:false ~root:None
             ~parallel ~frontier model,
           None ))
 

@@ -41,8 +41,9 @@ val solve :
     friends); values are converted to [Q] only for incumbents, branch
     pivots and the returned solution. The search runs on the
     machine-word fast tier first and deterministically restarts on the
-    exact (then dense) tier on overflow or stall in the simplex itself,
-    so the result never depends on which tier finished.
+    exact (then dense) tier on overflow (in a pivot or in a node's
+    bookkeeping) or stall, so the result never depends on which tier
+    finished.
 
     [root], when given, is used as the root node's presolve outcome
     instead of running {!Presolve.tighten} there. It must equal what the
@@ -82,8 +83,9 @@ val solve_certified :
     are derivable from the declared bounds plus the branching path; it
     makes exactly the decisions of [solve ~node_limit ~slack
     ~presolve:false] — same answer, node count and [Node_limit_exceeded]
-    behaviour. With presolve the node count differs, so under
-    [node_limit] one search may finish where the other gives up (on one
+    behaviour — on every tier, the uncertified dense fallback included.
+    With presolve the node count differs, so under [node_limit] one
+    search may finish where the other gives up (on one
     ILP-PTAC instance at [slack = 16]: 373 nodes presolved, 1 011
     without). The certificate is [None] only when the search fell
     through to the dense tier, which cannot certify.

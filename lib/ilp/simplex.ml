@@ -88,10 +88,10 @@ end
    variable to branch on, and whether the floored point is a feasible
    incumbent — over the model's data converted once to the engine's
    scalar, so a node costs no bignum arithmetic. [x v] reads variable
-   [v] of the point. Every answer is exact: the fast tier redoes a
-   question that overflows over [Q] ({!Book_q}) instead of restarting
-   the search, so the questions decide exactly what they decide over
-   [Q]. *)
+   [v] of the point. On the fast scalar any step may raise
+   [Fastq.Overflow], which restarts the search on the exact tier like
+   an overflowing pivot; no ILP-PTAC model of the benchmark corpora or
+   the test suites reaches that. *)
 module Book (S : SCALAR) = struct
   type row = {
     vars : int array;
@@ -111,7 +111,6 @@ module Book (S : SCALAR) = struct
     ints : int array;
   }
 
-  (* May raise [Fastq.Overflow] on the fast scalar. *)
   let make model =
     let info = Array.init (Model.num_vars model) (Model.var_info model) in
     let _, obj = Model.objective model in
@@ -208,13 +207,6 @@ module Book (S : SCALAR) = struct
 end
 
 module Book_q = Book (Scalar_q)
-module Book_fast = Book (Scalar_fast)
-
-let feasible model point =
-  let x = Array.get point in
-  match Book_fast.feasible (Book_fast.make model) (fun v -> Fastq.of_q (x v)) with
-  | ok -> ok
-  | exception Fastq.Overflow -> Book_q.feasible (Book_q.make model) x
 
 (* ------------------------------------------------------------------ *)
 (* The bounded-variable engine                                         *)
@@ -261,6 +253,8 @@ module type ENGINE = sig
   val most_fractional : state -> (Model.var * Q.t) option
   val floor_incumbent :
     state -> beats:(Q.t -> bool) -> (Q.t * Q.t array) option
+
+  val feasible : Model.t -> Q.t array -> bool
 end
 
 type vstatus = Basic | At_lower | At_upper | Free_zero
@@ -273,7 +267,7 @@ module Engine (S : SCALAR) : ENGINE = struct
 
   type state = {
     model : Model.t;
-    book : B.t option; (* None when the model leaves the scalar's range *)
+    book : B.t;
     n_struct : int;
     m : int;
     n_total : int;
@@ -738,7 +732,7 @@ module Engine (S : SCALAR) : ENGINE = struct
         ub;
         budget = 0;
         last = Solved;
-        book = (try Some (B.make model) with Fastq.Overflow -> None);
+        book = B.make model;
       }
     in
     (* beta from the all-slack basis *)
@@ -831,11 +825,6 @@ module Engine (S : SCALAR) : ENGINE = struct
       set_bounds st ~lb ~ub;
       settle st
 
-  (* Exact even where the fast scalar's cross products overflow, so the
-     emptiness test decides what [empty_var] decides over [Q]. *)
-  let compare_exact a b =
-    try S.compare a b with Fastq.Overflow -> Q.compare (S.to_q a) (S.to_q b)
-
   (* Only [v]'s bound moves, so only [v]'s anchor can: [set_bounds]
      without re-reading the rest of the box, and the basic values move
      by [v]'s column times its shift. *)
@@ -844,7 +833,7 @@ module Engine (S : SCALAR) : ENGINE = struct
     let b = S.of_q bound in
     if lower then st.lb.(v) <- Some b else st.ub.(v) <- Some b;
     match (st.lb.(v), st.ub.(v)) with
-    | Some l, Some u when compare_exact l u > 0 ->
+    | Some l, Some u when S.compare l u > 0 ->
       st.last <- Empty_box v;
       false
     | _ ->
@@ -881,21 +870,10 @@ module Engine (S : SCALAR) : ENGINE = struct
   let value st v = if st.pos.(v) >= 0 then st.beta.(st.pos.(v)) else st.xval.(v)
   let values = values_of
 
-  (* A question in the engine's scalar, redone over [Q] on overflow. *)
-  let ask st fast slow =
-    let fallback () =
-      let q = values_of st in
-      slow (Book_q.make st.model) (Array.get q)
-    in
-    match st.book with
-    | None -> fallback ()
-    | Some b -> ( try fast b (value st) with Fastq.Overflow -> fallback ())
-
-  let objective st = ask st B.objective Book_q.objective
-  let most_fractional st = ask st B.most_fractional Book_q.most_fractional
-
-  let floor_incumbent st ~beats =
-    ask st (B.floor_incumbent ~beats) (Book_q.floor_incumbent ~beats)
+  let objective st = B.objective st.book (value st)
+  let most_fractional st = B.most_fractional st.book (value st)
+  let floor_incumbent st ~beats = B.floor_incumbent st.book (value st) ~beats
+  let feasible model x = B.feasible (B.make model) (fun v -> S.of_q x.(v))
 end
 
 module Fast_engine = Engine (Scalar_fast)
@@ -1268,6 +1246,8 @@ module Dense_engine : ENGINE = struct
 
   let floor_incumbent st ~beats =
     Book_q.floor_incumbent st.book (Array.get st.point) ~beats
+
+  let feasible model x = Book_q.feasible (Book_q.make model) (Array.get x)
 end
 
 let fast : (module ENGINE) = (module Fast_engine)

@@ -76,11 +76,10 @@ module type ENGINE = sig
   (** {2 Node bookkeeping}
 
       Questions branch & bound asks of an optimal state, answered in the
-      engine's own scalar; only the answers are converted to [Q]. They
-      are exact on every tier: where the fast tier's arithmetic would
-      overflow, the question is redone over [Q] (the search does not
-      restart), so the answers equal those computed over [Q] from
-      {!values}. *)
+      engine's own scalar; only the answers are converted to [Q]. Each
+      equals the answer computed over [Q] from {!values}. On the fast
+      tier they may raise {!Numeric.Fastq.Overflow} like a pivot does,
+      and the search then restarts on the exact tier. *)
 
   val objective : state -> Q.t
   (** The objective at the state's point. *)
@@ -101,6 +100,13 @@ module type ENGINE = sig
       when the floored point satisfies the model's declared bounds,
       integrality and constraints ({!feasible}) and [beats] holds of
       its objective. *)
+
+  val feasible : Model.t -> Q.t array -> bool
+  (** [feasible m x] is the check {!floor_incumbent} applies, in the
+      engine's scalar and without building messages: it holds exactly
+      when [Model.check_feasible m] accepts [x] (one value per
+      variable). Converts the model on every call. May raise
+      {!Numeric.Fastq.Overflow} on the fast tier. *)
 end
 
 module Fast_engine : ENGINE
@@ -119,12 +125,6 @@ val dense : (module ENGINE)
     interface. Its state is only the box and the last optimal point, so
     every re-solve is a cold solve under the new box — the
     pre-warm-start behaviour, kept as the fallback of last resort. *)
-
-val feasible : Model.t -> Q.t array -> bool
-(** [feasible m x] holds exactly when [Model.check_feasible m] accepts
-    [x] (one value per variable), decided in machine-word rationals and
-    redone over [Q] when those overflow, without building messages. The
-    check {!ENGINE.floor_incumbent} applies. *)
 
 val dense_solve_with_bounds :
   Model.t -> lb:Q.t option array -> ub:Q.t option array -> Solution.t

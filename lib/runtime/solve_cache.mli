@@ -57,8 +57,8 @@ val solve_ilp :
     ([node_limit = 200_000], [slack = 0]) plus [parallel = Ambient].
     The search does not presolve, so it explores exactly the tree of the
     certified search audit mode runs ({!Ilp.Branch_bound.solve_certified}):
-    both modes settle the same outcome — [Node_limit] included — for
-    the key they share.
+    both modes settle the same outcome — [Node_limit] included, on
+    every solver tier — for the key they share.
     @raise Ilp.Branch_bound.Node_limit_exceeded as the underlying solver
     would, including on a cache hit of such an outcome. *)
 

@@ -917,16 +917,16 @@ let prop_fast_tier_exact_or_falls_back =
 
 (* --- scalar floor-feasibility check --------------------------------------- *)
 
-(* [Simplex.feasible] (the check of every rounding incumbent) against
-   [Model.check_feasible]. Models mix integer and continuous variables,
+(* Each engine's [feasible] (the check of every rounding incumbent)
+   against [Model.check_feasible]. Models mix integer and continuous variables,
    free and boxed, rows of every sense with coefficients up to 10^14 and
    right-hand sides past the machine word; each row's sense is picked so
    that the origin satisfies it more often than not, and coordinates are
    0 half the time, so both answers are common. The other coordinates
    are small integers, fractions (integrality), values past the machine
    word and fractions over denominators near [max_int], whose sums
-   overflow it — so the fast scalar's fallback decides a good share of
-   cases, feasible ones included. *)
+   overflow it — so a good share of cases, feasible ones included, make
+   the fast tier raise and are left to the exact tier, as in a search. *)
 type feasibility_case = {
   fvars : (bool * bool * int option) array; (* integer, lb = 0, ub *)
   frows : ((int * int) array * Ilp.Model.sense * Q.t) list; (* (coeff, 10^e) *)
@@ -989,25 +989,46 @@ let feasibility_model c =
     c.frows;
   m
 
+(* The exact and dense tiers always agree with the checker; the fast
+   tier agrees or raises [Fastq.Overflow]. *)
 let prop_scalar_feasible_matches_check =
   QCheck.Test.make ~name:"scalar feasibility check agrees with Model.check_feasible"
     ~count:1000 (QCheck.make gen_feasibility_case) (fun c ->
         let m = feasibility_model c in
-        Ilp.Simplex.feasible m c.fpoint
-        = Result.is_ok (Ilp.Model.check_feasible m (Array.get c.fpoint)))
+        let ok = Result.is_ok (Ilp.Model.check_feasible m (Array.get c.fpoint)) in
+        Ilp.Simplex.Exact_engine.feasible m c.fpoint = ok
+        && (let module D = (val Ilp.Simplex.dense) in D.feasible m c.fpoint = ok)
+        &&
+        match Ilp.Simplex.Fast_engine.feasible m c.fpoint with
+        | fast -> fast = ok
+        | exception Fastq.Overflow -> true)
 
 let test_scalar_feasible_overflow () =
-  (* data and points outside the machine word are decided exactly *)
+  (* points and data outside the machine word make the fast tier raise;
+     the exact tier decides them *)
   let big = Q.of_string "100000000000000000000" in
   let m = Ilp.Model.create () in
   let x = Ilp.Model.add_var m ~integer:true "x" in
   let y = Ilp.Model.add_var m "y" in
-  le [ (q 1, x); (q 1, y) ] big m;
-  let feasible pt = Ilp.Simplex.feasible m pt in
-  Alcotest.(check bool) "small point" true (feasible [| q 5; qr 1 3 |]);
-  Alcotest.(check bool) "at the big rhs" true (feasible [| big; q 0 |]);
-  Alcotest.(check bool) "past it" false (feasible [| big; qr 1 max_int |]);
-  Alcotest.(check bool) "fractional integer" false (feasible [| qr 1 2; q 0 |])
+  le [ (q 1, x); (q 1, y) ] (q 1_000_000) m;
+  let fast = Ilp.Simplex.Fast_engine.feasible m in
+  let exact = Ilp.Simplex.Exact_engine.feasible m in
+  let raises what f =
+    match f () with
+    | _ -> Alcotest.failf "%s: fast tier did not raise" what
+    | exception Fastq.Overflow -> ()
+  in
+  Alcotest.(check bool) "small point" true (fast [| q 5; qr 1 3 |]);
+  Alcotest.(check bool) "fractional integer" false (fast [| qr 1 2; q 0 |]);
+  Alcotest.(check bool) "past the rhs" false (fast [| q 999_999; qr 3 2 |]);
+  raises "value past the word" (fun () -> fast [| big; q 0 |]);
+  Alcotest.(check bool) "value past the word, exact" false (exact [| big; q 0 |]);
+  raises "overflowing sum" (fun () -> fast [| q 1; qr 1 max_int |]);
+  Alcotest.(check bool) "overflowing sum, exact" true (exact [| q 1; qr 1 max_int |]);
+  le [ (q 1, x) ] big m;
+  raises "rhs past the word" (fun () -> Ilp.Simplex.Fast_engine.feasible m [| q 1; q 0 |]);
+  Alcotest.(check bool) "rhs past the word, exact" true
+    (Ilp.Simplex.Exact_engine.feasible m [| q 1; q 0 |])
 
 let test_lp_format_parse_variants () =
   (* alternative spellings we tolerate *)
